@@ -267,6 +267,15 @@ class ModeledLatencyBackend final : public pdm::StorageBackend {
   void note_parallel_op() override { inner_->note_parallel_op(); }
   void sync() override { inner_->sync(); }
 
+  /// Quotas live on the media: forward to the inner store, which enforces
+  /// them (this decorator's write_block never checks space itself).
+  void set_disk_quota_bytes(std::uint64_t quota) override {
+    inner_->set_disk_quota_bytes(quota);
+  }
+  std::uint64_t disk_quota_bytes() const override {
+    return inner_->disk_quota_bytes();
+  }
+
   std::chrono::microseconds delay() const { return delay_; }
 
  private:

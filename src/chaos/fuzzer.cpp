@@ -76,6 +76,100 @@ FuzzOutcome classify_outputs(const std::vector<cgm::PartitionSet>& got,
   return out;
 }
 
+/// One run of the fuzz workload on `engine`, classified, with the recovery
+/// protocol of a typed abort applied.
+FuzzOutcome attempt(em::EmEngine& engine, const cgm::Program& prog,
+                    const FuzzMachine& machine,
+                    const std::vector<cgm::PartitionSet>& reference,
+                    const ChaosPlan& plan) {
+  try {
+    const auto got = engine.run(prog, sort_inputs(machine));
+    return classify_outputs(got, reference, FuzzStatus::kIdentical, plan);
+  } catch (const InvariantViolation& iv) {
+    return FuzzOutcome{FuzzStatus::kInvariant, iv.what(), plan};
+  } catch (const Error& e) {
+    // Typed abort. "Repair the machine" — lift every capacity quota,
+    // disarm the fault injectors — and attempt the recovery path the
+    // checkpoint protocol promises: one resume() to bit-identical output.
+    const std::string first = e.what();
+    for (std::uint32_t r = 0; r < machine.p; ++r) {
+      engine.set_disk_quota_bytes(r, 0);
+    }
+    engine.disarm_faults();
+    if (!engine.has_checkpoint()) {
+      return FuzzOutcome{FuzzStatus::kTypedFailure, first, plan};
+    }
+    try {
+      const auto got = engine.resume(prog);
+      return classify_outputs(got, reference, FuzzStatus::kResumedIdentical,
+                              plan);
+    } catch (const InvariantViolation& iv) {
+      return FuzzOutcome{FuzzStatus::kInvariant, iv.what(), plan};
+    } catch (const Error& e2) {
+      // Silent corruption already on disk (torn write / bit flip under a
+      // committed block) can legitimately survive a replay; a typed
+      // detection is the contract.
+      return FuzzOutcome{FuzzStatus::kTypedFailure,
+                         first + "; resume: " + e2.what(), plan};
+    }
+  }
+}
+
+bool reached_reference(FuzzStatus s) {
+  return s == FuzzStatus::kIdentical || s == FuzzStatus::kResumedIdentical;
+}
+
+std::uint64_t footprint(const em::EmEngine& engine, std::uint32_t p) {
+  std::uint64_t tracks = 0;
+  for (std::uint32_t r = 0; r < p; ++r) tracks += engine.tracks_used(r);
+  return tracks;
+}
+
+// Re-run check on a run that reached the reference: the same program again
+// on the same engine, disk injectors disarmed, under the same recovery
+// protocol. It must do exactly what a fresh engine in the same state does
+// (the plan's network faults replay — every run starts a fresh network —
+// so that may be a typed failure), and it must not grow the disks: track
+// space is scoped to one run, so a reused engine's footprint is its
+// largest single run.
+FuzzOutcome rerun_check(em::EmEngine& engine, cgm::MachineConfig cfg,
+                        const cgm::Program& prog, const FuzzMachine& machine,
+                        const std::vector<cgm::PartitionSet>& reference,
+                        FuzzOutcome first) {
+  const std::uint64_t before = footprint(engine, machine.p);
+  engine.disarm_faults();
+  FuzzOutcome want;
+  {
+    if (!cfg.file_dir.empty()) cfg.file_dir += "/fresh";
+    em::EmEngine fresh(cfg);
+    fresh.disarm_faults();
+    for (std::uint32_t r = 0; r < machine.p; ++r) {
+      fresh.set_disk_quota_bytes(r, engine.disk_array(r).quota_bytes());
+    }
+    want = attempt(fresh, prog, machine, reference, first.plan);
+  }
+  const FuzzOutcome again = attempt(engine, prog, machine, reference,
+                                    first.plan);
+  if (!fuzz_ok(again.status)) return again;
+  if (again.status != want.status || again.detail != want.detail) {
+    first.status = FuzzStatus::kDivergence;
+    first.detail = std::string("re-run on the reused engine: ") +
+                   to_string(again.status) + " (" + again.detail +
+                   "); on a fresh engine: " + to_string(want.status) + " (" +
+                   want.detail + ")";
+    return first;
+  }
+  const std::uint64_t after = footprint(engine, machine.p);
+  if (after > before) {
+    std::ostringstream os;
+    os << "disk footprint grew across runs: " << before << " -> " << after
+       << " tracks";
+    first.status = FuzzStatus::kInvariant;
+    first.detail = os.str();
+  }
+  return first;
+}
+
 }  // namespace
 
 const char* to_string(FuzzStatus s) {
@@ -115,37 +209,9 @@ FuzzOutcome run_plan(const ChaosPlan& plan, const FuzzMachine& machine,
     plan.apply(cfg);
     cfg.chaos.invariants = true;
     em::EmEngine engine(cfg);
-    try {
-      const auto got = engine.run(prog, sort_inputs(machine));
-      return classify_outputs(got, reference, FuzzStatus::kIdentical, plan);
-    } catch (const InvariantViolation& iv) {
-      return FuzzOutcome{FuzzStatus::kInvariant, iv.what(), plan};
-    } catch (const Error& e) {
-      // Typed abort. "Repair the machine" — lift every capacity quota,
-      // disarm the fault injectors — and attempt the recovery path the
-      // checkpoint protocol promises: one resume() to bit-identical output.
-      const std::string first = e.what();
-      for (std::uint32_t r = 0; r < cfg.p; ++r) {
-        engine.set_disk_quota_bytes(r, 0);
-      }
-      engine.disarm_faults();
-      if (!engine.has_checkpoint()) {
-        return FuzzOutcome{FuzzStatus::kTypedFailure, first, plan};
-      }
-      try {
-        const auto got = engine.resume(prog);
-        return classify_outputs(got, reference,
-                                FuzzStatus::kResumedIdentical, plan);
-      } catch (const InvariantViolation& iv) {
-        return FuzzOutcome{FuzzStatus::kInvariant, iv.what(), plan};
-      } catch (const Error& e2) {
-        // Silent corruption already on disk (torn write / bit flip under a
-        // committed block) can legitimately survive a replay; a typed
-        // detection is the contract.
-        return FuzzOutcome{FuzzStatus::kTypedFailure,
-                           first + "; resume: " + e2.what(), plan};
-      }
-    }
+    FuzzOutcome out = attempt(engine, prog, machine, reference, plan);
+    if (!reached_reference(out.status)) return out;
+    return rerun_check(engine, cfg, prog, machine, reference, std::move(out));
   } catch (const Error& e) {
     // Construction / config rejection — typed by definition.
     return FuzzOutcome{FuzzStatus::kTypedFailure, e.what(), plan};

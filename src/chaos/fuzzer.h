@@ -77,7 +77,11 @@ struct FuzzReport {
 /// Execute one plan on one machine shape and classify the outcome against
 /// `reference` (the clean run's outputs, from run_reference()). Arms the
 /// invariant layer; on a typed abort, lifts quotas, disarms the injectors
-/// and attempts one resume().
+/// and attempts one resume(). A run that reached the reference is followed
+/// by a re-run of the same program on the same engine, disk injectors
+/// disarmed: it must end exactly as a fresh engine in the same state does
+/// and must not grow the disks' footprint (summed tracks_used), else the
+/// plan is a finding.
 FuzzOutcome run_plan(const ChaosPlan& plan, const FuzzMachine& machine,
                      const std::vector<cgm::PartitionSet>& reference);
 

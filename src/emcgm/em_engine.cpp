@@ -143,8 +143,26 @@ struct EmEngine::RealProc {
                                     ? cfg.chaos.disk_quota_bytes
                                     : cfg.chaos.disk_quota_per_proc[index];
     if (quota != 0) disks->set_quota_bytes(quota);
-    ckpt[0].emplace(space, cfg.disk.num_disks);
-    ckpt[1].emplace(space, cfg.disk.num_disks);
+    reset_tracks();
+  }
+
+  // Run-scoped track space: drop the stores (and commit slots) of the
+  // previous run, hand all their tracks back and re-create the commit slots
+  // at the start of the space — the layout a fresh engine starts from. The
+  // drain comes first: an aborted run may have left write-behind in flight
+  // that would otherwise land on a track the next run reuses (its errors
+  // belong to the discarded run).
+  void reset_tracks() {
+    try {
+      disks->drain();
+    } catch (const IoError&) {
+      // casualty of the discarded run
+    }
+    contexts.reset();
+    messages.reset();
+    space.reset();
+    ckpt[0].emplace(space, disks->num_disks());
+    ckpt[1].emplace(space, disks->num_disks());
   }
 };
 
@@ -795,6 +813,7 @@ void EmEngine::start(const cgm::Program& program,
 
   commit_ = Commit{};
   running_program_ = program.name();
+  for (auto& rp : procs_) rp->reset_tracks();
 
   // Fresh membership per run: every machine alive, every store group hosted
   // by its original owner, the physical superstep clock and the membership
@@ -856,7 +875,8 @@ void EmEngine::start(const cgm::Program& program,
         128);
   }
 
-  // Fresh stores per run; the disk arrays (and their statistics) persist.
+  // Fresh stores per run on the freshly reset track space; the disk arrays
+  // (and their statistics) persist.
   for (std::uint32_t r = 0; r < p; ++r) {
     auto& rp = *procs_[r];
     rp.contexts = std::make_unique<ContextStore>(*rp.disks, rp.space, nloc);

@@ -134,7 +134,11 @@ class EmEngine final : public cgm::Engine {
   /// since engine construction.
   const pdm::IoStats& io_stats(std::uint32_t real_proc) const;
 
-  /// Disk tracks currently materialized on one real processor (space use).
+  /// Space use of one real processor's disks: the sum over its disks of
+  /// each disk's high-water track count (highest written track + 1) — the
+  /// unit the capacity quota counts, not resident bytes. Track space is
+  /// scoped to one run (reset at start()), so on a reused engine this stays
+  /// at the largest single run's footprint.
   std::uint64_t tracks_used(std::uint32_t real_proc) const;
 
   /// Direct access to one real processor's disk subsystem (fault-injection

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -32,16 +33,14 @@ void MemoryBackend::read_block(std::uint32_t disk, std::uint64_t track,
                                std::span<std::byte> out) {
   EMCGM_CHECK(disk < geom_.num_disks);
   EMCGM_CHECK(out.size() == geom_.block_bytes);
-  auto& d = disks_[disk];
-  const std::size_t off = track * geom_.block_bytes;
-  if (off + geom_.block_bytes <= d.size()) {
-    std::memcpy(out.data(), d.data() + off, geom_.block_bytes);
+  const auto& chunks = disks_[disk].chunks;
+  const std::uint64_t c = track / kChunkTracks;
+  if (c < chunks.size() && chunks[c]) {
+    const std::size_t off = (track % kChunkTracks) * geom_.block_bytes;
+    std::memcpy(out.data(), chunks[c].get() + off, geom_.block_bytes);
   } else {
     // Sparse read: unwritten tracks are all-zero.
     std::memset(out.data(), 0, out.size());
-    if (off < d.size()) {
-      std::memcpy(out.data(), d.data() + off, d.size() - off);
-    }
   }
 }
 
@@ -51,14 +50,18 @@ void MemoryBackend::write_block(std::uint32_t disk, std::uint64_t track,
   EMCGM_CHECK(data.size() == geom_.block_bytes);
   ensure_space(disk, track);
   auto& d = disks_[disk];
-  const std::size_t off = track * geom_.block_bytes;
-  if (off + geom_.block_bytes > d.size()) d.resize(off + geom_.block_bytes);
-  std::memcpy(d.data() + off, data.data(), geom_.block_bytes);
+  const std::uint64_t c = track / kChunkTracks;
+  if (c >= d.chunks.size()) d.chunks.resize(c + 1);
+  auto& chunk = d.chunks[c];
+  if (!chunk) chunk.reset(new std::byte[kChunkTracks * geom_.block_bytes]());
+  const std::size_t off = (track % kChunkTracks) * geom_.block_bytes;
+  std::memcpy(chunk.get() + off, data.data(), geom_.block_bytes);
+  d.tracks = std::max(d.tracks, track + 1);
 }
 
 std::uint64_t MemoryBackend::tracks_used(std::uint32_t disk) const {
   EMCGM_CHECK(disk < geom_.num_disks);
-  return disks_[disk].size() / geom_.block_bytes;
+  return disks_[disk].tracks;
 }
 
 // ------------------------------------------------------------------ File --

@@ -1,6 +1,6 @@
 // Storage backends for the simulated disk array.
 //
-// MemoryBackend keeps every track in RAM — the default for tests and
+// MemoryBackend keeps the written tracks in RAM — the default for tests and
 // benchmarks, where only the I/O *counts* matter. FileBackend stores one
 // flat file per simulated disk and performs real pread/pwrite at
 // track-aligned offsets, demonstrating that the same code path drives real
@@ -19,7 +19,10 @@
 namespace emcgm::pdm {
 
 /// Abstract per-disk block store. Implementations must allow sparse writes:
-/// writing track t implicitly materializes (zero-filled) tracks below t.
+/// a write may land at any track, never-written tracks below it read as
+/// zeros, and the disk's high-water mark (tracks_used) becomes at least
+/// t + 1. Whether the gaps below the mark occupy memory or disk is up to the
+/// implementation.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -33,7 +36,8 @@ class StorageBackend {
   virtual void write_block(std::uint32_t disk, std::uint64_t track,
                            std::span<const std::byte> data) = 0;
 
-  /// Highest materialized track count per disk (capacity usage reporting).
+  /// High-water mark of one disk: highest written track + 1 (0 if never
+  /// written). This is what the quota counts, not resident bytes.
   virtual std::uint64_t tracks_used(std::uint32_t disk) const = 0;
 
   /// Called by DiskArray once per parallel I/O operation, before its block
@@ -48,12 +52,12 @@ class StorageBackend {
   virtual void sync() {}
 
   /// Per-disk capacity quota in bytes (0 = unlimited, the default). A write
-  /// that would *materialize* a disk past the quota throws
-  /// IoError(kNoSpace) before touching the media; overwrites of tracks
-  /// already materialized always succeed, so lowering the quota under live
-  /// data never bricks it — and raising (or clearing) the quota makes the
-  /// refused writes succeed verbatim, which is what lets a checkpointed run
-  /// resume bit-identically after space is freed. Quotas count the bytes on
+  /// that would raise a disk's high-water mark past the quota throws
+  /// IoError(kNoSpace) before touching the media; writes below the mark
+  /// always succeed, so lowering the quota under live data never bricks
+  /// it — and raising (or clearing) the quota makes the refused writes
+  /// succeed verbatim, which is what lets a checkpointed run resume
+  /// bit-identically after space is freed. Quotas count the bytes on
   /// the media, i.e. the *physical* block size (checksum envelope included).
   /// Decorators (FaultInjectingBackend) forward to the innermost store.
   virtual void set_disk_quota_bytes(std::uint64_t quota) { quota_ = quota; }
@@ -67,8 +71,8 @@ class StorageBackend {
   }
 
   /// Quota check for write paths: throws IoError(kNoSpace) when writing
-  /// `track` would grow `disk` beyond the quota (sparse semantics: writing
-  /// track t materializes every track below it too).
+  /// `track` would raise `disk`'s high-water mark beyond the quota (the
+  /// mark counts every track below it, written or not).
   void ensure_space(std::uint32_t disk, std::uint64_t track) const;
 
   DiskGeometry geom_;
@@ -77,9 +81,16 @@ class StorageBackend {
   std::uint64_t quota_ = 0;  ///< per-disk byte quota; 0 = unlimited
 };
 
-/// In-RAM backing store; tracks grow on demand.
+/// In-RAM backing store, sparse: each disk is a table of fixed-size chunks
+/// of kChunkTracks tracks, allocated (zero-filled) on the first write into
+/// the chunk. A write far above the high-water mark allocates one chunk —
+/// no gap below it is materialized and nothing is ever regrown or copied.
+/// Threading: a disk's chunk table is touched only by that disk's I/O
+/// (one owning executor worker per disk, see io_executor.h).
 class MemoryBackend final : public StorageBackend {
  public:
+  static constexpr std::uint64_t kChunkTracks = 64;
+
   explicit MemoryBackend(const DiskGeometry& geom);
 
   void read_block(std::uint32_t disk, std::uint64_t track,
@@ -89,8 +100,14 @@ class MemoryBackend final : public StorageBackend {
   std::uint64_t tracks_used(std::uint32_t disk) const override;
 
  private:
-  // disks_[d] is the linearized track data of disk d.
-  std::vector<std::vector<std::byte>> disks_;
+  struct Disk {
+    /// chunks[c] holds tracks [c * kChunkTracks, (c + 1) * kChunkTracks);
+    /// null = no track of the chunk was ever written.
+    std::vector<std::unique_ptr<std::byte[]>> chunks;
+    std::uint64_t tracks = 0;  ///< highest written track + 1
+  };
+
+  std::vector<Disk> disks_;
 };
 
 /// One flat file per disk under a caller-supplied directory. Files are

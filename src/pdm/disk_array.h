@@ -160,8 +160,10 @@ class DiskArray {
     stats_ = IoStats{};
   }
 
-  /// Total tracks currently materialized across all disks (space usage).
-  /// Drains first so pending write-behind extensions are visible.
+  /// Space usage: the sum over the disks of each disk's high-water track
+  /// count (highest written track + 1, StorageBackend::tracks_used) — the
+  /// quota's unit, not resident bytes. Drains first so pending write-behind
+  /// extensions are visible.
   std::uint64_t tracks_used() const;
 
   StorageBackend& backend() { return *backend_; }

@@ -140,7 +140,11 @@ void IoExecutor::run_worker(std::uint32_t w) {
     }
     {
       std::lock_guard<std::mutex> lk(done_mu_);
-      if (err) job.op->errors.emplace_back(job.slot, err);
+      // Hand the exception over instead of copying it: the worker must not
+      // hold a reference once the lock is released, or it may drop the
+      // last one after the reaper rethrew it, destroying the exception on
+      // this thread with no happens-before edge the race detector can see.
+      if (err) job.op->errors.emplace_back(job.slot, std::move(err));
       --job.op->pending;
       --pending_blocks_;
       if (depth_) depth_(pending_blocks_);

@@ -21,8 +21,11 @@
 
 namespace emcgm::pdm {
 
-/// Monotone allocator of physical track ranges, shared by all regions of one
-/// DiskArray. Ranges apply to every disk simultaneously.
+/// Bump allocator of physical track ranges, shared by all regions of one
+/// DiskArray. Ranges apply to every disk simultaneously. Nothing is freed
+/// individually; the whole space is scoped to one run instead — EmEngine
+/// drops every region of the previous run and reset()s the space at
+/// start(), so a reused engine's disks stay within its largest single run.
 class TrackSpace {
  public:
   std::uint64_t acquire(std::uint64_t tracks) {
@@ -31,6 +34,10 @@ class TrackSpace {
     return t;
   }
   std::uint64_t high_water() const { return next_; }
+
+  /// Hand every track back. Only valid once no region acquired before the
+  /// reset is used again (their tracks are handed out again from 0).
+  void reset() { next_ = 0; }
 
  private:
   std::uint64_t next_ = 0;

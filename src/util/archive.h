@@ -79,7 +79,9 @@ class ReadArchive {
     EMCGM_CHECK_MSG(pos_ + n <= data_.size(),
                     "archive underrun: need " << n << " at " << pos_
                                               << " of " << data_.size());
-    std::memcpy(out, data_.data() + pos_, n);
+    // memcpy's pointers must be non-null even for n == 0, and an empty
+    // vector's data() may be null.
+    if (n != 0) std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }
 
@@ -134,7 +136,7 @@ std::vector<T> bytes_to_vec(std::span<const std::byte> bytes) {
                                    << " not a multiple of item size "
                                    << sizeof(T));
   std::vector<T> v(bytes.size() / sizeof(T));
-  std::memcpy(v.data(), bytes.data(), bytes.size());
+  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
   return v;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "algo/sort.h"
+#include "bench/bench_util.h"
 #include "chaos/chaos_config.h"
 #include "chaos/fuzzer.h"
 #include "chaos/plan.h"
@@ -104,6 +105,25 @@ TEST(NoSpace, BackendQuotaSemantics) {
   b->write_block(0, 1, data);  // raising the quota frees the denied write
   b->set_disk_quota_bytes(0);
   b->write_block(0, 9, data);  // 0 = unlimited again (sparse write far out)
+}
+
+TEST(NoSpace, ModeledLatencyDecoratorForwardsQuota) {
+  // The benchmarks' latency decorator must hand the quota to the store
+  // that enforces it, like every other decorator.
+  bench::ModeledLatencyBackend b(
+      pdm::make_backend(pdm::BackendKind::kMemory, pdm::DiskGeometry{1, 128},
+                        ""),
+      pdm::DiskCostModel{}, 1e9);
+  const auto data = pattern(128, 3);
+  b.set_disk_quota_bytes(128);
+  EXPECT_EQ(b.disk_quota_bytes(), 128u);
+  b.write_block(0, 0, data);
+  try {
+    b.write_block(0, 1, data);
+    FAIL() << "expected kNoSpace";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kNoSpace);
+  }
 }
 
 TEST(NoSpace, DiskArrayTypedThroughBothIoPaths) {

@@ -7,6 +7,7 @@
 // and the checksummed-envelope geometry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -16,6 +17,7 @@
 #include "pdm/checksum.h"
 #include "pdm/cost_model.h"
 #include "pdm/disk_array.h"
+#include "pdm/fault.h"
 #include "pdm/striping.h"
 #include "util/rng.h"
 
@@ -265,6 +267,133 @@ TEST(FileBackend, RoundTripAndCleanup) {
   }
   // Destructor unlinks the disk files.
   EXPECT_FALSE(std::filesystem::exists(dir + "/disk0.bin"));
+}
+
+// --------------------------------------------------- sparse MemoryBackend --
+// The suite name matters: CI's TSan job selects `MemoryBackend`, because a
+// disk's chunk table is written from executor worker threads.
+
+TEST(MemoryBackend, UnwrittenTracksReadZeroInsideAndBeyondChunks) {
+  constexpr std::uint64_t C = MemoryBackend::kChunkTracks;
+  MemoryBackend b(DiskGeometry{2, 64});
+  const auto data = pattern(64, 3);
+  b.write_block(0, 5, data);          // allocates chunk 0 of disk 0
+  b.write_block(0, 3 * C + 1, data);  // chunk 3; chunks 1, 2 stay empty
+  std::vector<std::byte> out(64);
+  auto reads_zero = [&](std::uint32_t disk, std::uint64_t track) {
+    std::fill(out.begin(), out.end(), std::byte{0xAB});
+    b.read_block(disk, track, out);
+    return std::all_of(out.begin(), out.end(),
+                       [](std::byte x) { return x == std::byte{0}; });
+  };
+  EXPECT_TRUE(reads_zero(0, 4));          // inside an allocated chunk
+  EXPECT_TRUE(reads_zero(0, C - 1));      // ditto, last track of the chunk
+  EXPECT_TRUE(reads_zero(0, C + 7));      // a gap chunk inside the table
+  EXPECT_TRUE(reads_zero(0, 3 * C));      // allocated chunk, below the write
+  EXPECT_TRUE(reads_zero(0, 100 * C));    // beyond every chunk
+  EXPECT_TRUE(reads_zero(1, 5));          // a disk never written at all
+  b.read_block(0, 5, out);
+  EXPECT_EQ(out, data);
+  b.read_block(0, 3 * C + 1, out);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(b.tracks_used(0), 3 * C + 2);  // highest written track + 1
+  EXPECT_EQ(b.tracks_used(1), 0u);
+}
+
+TEST(MemoryBackend, FarWriteMaterializesNoGap) {
+  // One write at track 2^22 with 8 KiB blocks: the dense layout would have
+  // zero-filled 32 GiB below it; the sparse one allocates one chunk.
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 22;
+  MemoryBackend b(DiskGeometry{1, 8192});
+  const auto data = pattern(8192, 4);
+  b.write_block(0, kFar, data);
+  EXPECT_EQ(b.tracks_used(0), kFar + 1);
+  std::vector<std::byte> out(8192);
+  b.read_block(0, kFar, out);
+  EXPECT_EQ(out, data);
+  b.read_block(0, 0, out);
+  for (auto x : out) EXPECT_EQ(x, std::byte{0});
+}
+
+TEST(MemoryBackend, QuotaCountsTheHighWaterMark) {
+  // Quota semantics are those of the dense layout: the mark counts every
+  // track below it, so a write into a never-allocated chunk below the mark
+  // is not growth, and one past it is refused.
+  constexpr std::uint64_t C = MemoryBackend::kChunkTracks;
+  MemoryBackend b(DiskGeometry{1, 64});
+  const auto data = pattern(64, 5);
+  b.write_block(0, 3 * C, data);
+  b.set_disk_quota_bytes((3 * C + 1) * 64);
+  b.write_block(0, C, data);  // empty chunk below the mark: allowed
+  try {
+    b.write_block(0, 3 * C + 1, data);
+    FAIL() << "expected kNoSpace";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kNoSpace);
+  }
+  EXPECT_EQ(b.tracks_used(0), 3 * C + 1);
+}
+
+TEST(MemoryBackend, TornWritesKeepPreviousContents) {
+  // A torn write reads the track's previous contents back through the
+  // decorator: live data in an allocated chunk, zeros in a fresh one.
+  constexpr std::uint64_t C = MemoryBackend::kChunkTracks;
+  FaultPlan plan;
+  plan.torn_write_at = 2;  // the second block write on each disk tears
+  FaultInjectingBackend b(std::make_unique<MemoryBackend>(DiskGeometry{2, 64}),
+                          plan);
+  const auto old_data = pattern(64, 6);
+  const auto new_data = pattern(64, 7);
+  b.write_block(0, 9, old_data);
+  b.write_block(0, 9, new_data);  // torn over live data
+  b.write_block(1, 2, old_data);
+  b.write_block(1, 5 * C + 3, new_data);  // torn into an unallocated chunk
+  EXPECT_EQ(b.counters().torn_writes, 2u);
+  std::vector<std::byte> out(64);
+  b.read_block(0, 9, out);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(out[i], i < 32 ? new_data[i] : old_data[i]) << i;
+  }
+  b.read_block(1, 5 * C + 3, out);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(out[i], i < 32 ? new_data[i] : std::byte{0}) << i;
+  }
+}
+
+TEST(MemoryBackend, AsyncWorkersFillChunkTablesConcurrently) {
+  // io_threads = D: every disk's chunk table grows on its own worker while
+  // the others grow theirs. Contents and the high-water marks must match a
+  // serial array written the same way.
+  constexpr std::uint32_t D = 4;
+  constexpr std::uint64_t kTracks = 5 * MemoryBackend::kChunkTracks + 3;
+  auto fill = [&](std::uint32_t io_threads) {
+    DiskArrayOptions opts;
+    opts.io_threads = io_threads;
+    auto a = make_disk_array(BackendKind::kMemory, DiskGeometry{D, 32}, "",
+                             opts);
+    TrackSpace space;
+    TrackRegion region(space, 16);  // many small region chunks, interleaved
+    TrackRegion other(space, 16);
+    StripeCursor c1(D), c2(D);
+    const auto data = pattern(kTracks * D * 32, 8);
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      const std::size_t n = data.size() / 4;
+      const auto part = std::span<const std::byte>(data).subspan(k * n, n);
+      write_striped(*a, region, c1.alloc(n, 32), part);
+      write_striped(*a, other, c2.alloc(n, 32), part);
+    }
+    a->drain();
+    std::vector<std::byte> out(data.size() / 4);
+    c1.reset();
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      read_striped(*a, region, c1.alloc(out.size(), 32), out);
+      EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                             data.begin() + k * out.size()))
+          << "io_threads=" << io_threads << " part " << k;
+    }
+    return a->tracks_used();
+  };
+  EXPECT_EQ(fill(D), fill(0));
 }
 
 TEST(CostModel, MonotoneAndSaturating) {
