@@ -1,7 +1,9 @@
 #include "chaos/plan.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "pdm/fault.h"
@@ -264,6 +266,22 @@ struct JsonCursor {
     p = after;
     return d;
   }
+  /// An integer field, exactly: seeds use all 64 bits, which a double
+  /// cannot hold. Fractions, exponents, signs and values above `max` fail.
+  std::uint64_t parse_uint(std::uint64_t max) {
+    skip_ws();
+    std::uint64_t v = 0;
+    const auto [after, ec] = std::from_chars(p, end, v);
+    if (ec == std::errc::result_out_of_range || (ec == std::errc{} && v > max)) {
+      fail("integer out of range");
+    }
+    if (ec != std::errc{}) fail("expected an unsigned integer");
+    if (after < end && (*after == '.' || *after == 'e' || *after == 'E')) {
+      fail("expected an unsigned integer");
+    }
+    p = after;
+    return v;
+  }
 };
 
 }  // namespace
@@ -280,7 +298,7 @@ ChaosPlan ChaosPlan::parse_json(const std::string& text) {
     const std::string key = c.parse_string();
     c.expect(':');
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(c.parse_number());
+      plan.seed = c.parse_uint(std::numeric_limits<std::uint64_t>::max());
     } else if (key == "events") {
       c.expect('[');
       while (!c.peek(']')) {
@@ -305,9 +323,10 @@ ChaosPlan ChaosPlan::parse_json(const std::string& text) {
             }
             if (!have_kind) c.fail("unknown event kind '" + name + "'");
           } else if (field == "proc") {
-            e.proc = static_cast<std::uint32_t>(c.parse_number());
+            e.proc = static_cast<std::uint32_t>(
+                c.parse_uint(std::numeric_limits<std::uint32_t>::max()));
           } else if (field == "value") {
-            e.value = static_cast<std::uint64_t>(c.parse_number());
+            e.value = c.parse_uint(std::numeric_limits<std::uint64_t>::max());
           } else if (field == "prob") {
             e.prob = c.parse_number();
           } else {

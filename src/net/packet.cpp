@@ -23,7 +23,7 @@ std::uint64_t get_u64(const std::byte* p) {
 
 }  // namespace
 
-std::vector<std::byte> frame_packet(const Packet& p) {
+std::vector<std::byte> frame_packet(const PacketView& p) {
   std::vector<std::byte> f(kPacketHeaderBytes + p.payload.size());
   put_u32(f.data() + 0, kPacketMagic);
   put_u32(f.data() + 4, static_cast<std::uint32_t>(p.type));
@@ -40,7 +40,11 @@ std::vector<std::byte> frame_packet(const Packet& p) {
   return f;
 }
 
-std::optional<Packet> parse_packet(std::span<const std::byte> frame) {
+std::vector<std::byte> frame_packet(const Packet& p) {
+  return frame_packet(PacketView{p.type, p.src, p.dst, p.seq, p.payload});
+}
+
+std::optional<PacketView> parse_packet_view(std::span<const std::byte> frame) {
   if (frame.size() < kPacketHeaderBytes) return std::nullopt;
   if (get_u32(frame.data() + 0) != kPacketMagic) return std::nullopt;
   const std::uint32_t type = get_u32(frame.data() + 4);
@@ -48,17 +52,33 @@ std::optional<Packet> parse_packet(std::span<const std::byte> frame) {
   const std::uint32_t length = get_u32(frame.data() + 24);
   if (frame.size() != kPacketHeaderBytes + length) return std::nullopt;
 
-  const std::uint32_t stored_crc = get_u32(frame.data() + 28);
-  std::vector<std::byte> zeroed(frame.begin(), frame.end());
-  put_u32(zeroed.data() + 28, 0);
-  if (pdm::crc32c(zeroed) != stored_crc) return std::nullopt;
+  // The sealed CRC covered the frame with its CRC field zeroed: chain over
+  // the bytes before the field, four zeros in its place, then the payload.
+  constexpr std::size_t kCrcOff = 28;
+  constexpr std::byte kZeroField[4] = {};
+  std::uint32_t crc = pdm::crc32c(frame.first(kCrcOff));
+  crc = pdm::crc32c(kZeroField, crc);
+  crc = pdm::crc32c(frame.subspan(kPacketHeaderBytes), crc);
+  if (crc != get_u32(frame.data() + kCrcOff)) return std::nullopt;
 
-  Packet p;
+  PacketView p;
   p.type = static_cast<PacketType>(type);
   p.src = get_u32(frame.data() + 8);
   p.dst = get_u32(frame.data() + 12);
   p.seq = get_u64(frame.data() + 16);
-  p.payload.assign(frame.begin() + kPacketHeaderBytes, frame.end());
+  p.payload = frame.subspan(kPacketHeaderBytes);
+  return p;
+}
+
+std::optional<Packet> parse_packet(std::span<const std::byte> frame) {
+  const std::optional<PacketView> v = parse_packet_view(frame);
+  if (!v) return std::nullopt;
+  Packet p;
+  p.type = v->type;
+  p.src = v->src;
+  p.dst = v->dst;
+  p.seq = v->seq;
+  p.payload.assign(v->payload.begin(), v->payload.end());
   return p;
 }
 

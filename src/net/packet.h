@@ -9,6 +9,12 @@
 // returns nullopt instead of throwing: on a network, a bad frame is an
 // expected event the reliable protocol absorbs (drop + retransmit), not a
 // storage-integrity alarm.
+//
+// Verification reads the frame in place: the CRC chains over header bytes
+// [0, 28), four zero bytes standing in for the CRC field, then the payload,
+// which is the same value the sender sealed without copying the frame.
+// parse_packet_view() stops there and lends out the payload; parse_packet()
+// copies it into an owning Packet.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +46,25 @@ struct Packet {
   std::vector<std::byte> payload;
 };
 
+/// A packet whose payload is borrowed: the span points into a buffer the
+/// caller keeps alive (a frame being parsed, or a stream being framed).
+struct PacketView {
+  PacketType type = PacketType::kData;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint64_t seq = 0;
+  std::span<const std::byte> payload;
+};
+
 /// Serialize a packet into its wire frame (header + payload, CRC sealed).
+std::vector<std::byte> frame_packet(const PacketView& p);
 std::vector<std::byte> frame_packet(const Packet& p);
 
 /// Parse and verify a wire frame. Returns nullopt on a truncated frame, bad
 /// magic, unknown type, length mismatch, or CRC failure — i.e. whenever the
-/// bytes cannot be trusted, whatever the cause.
+/// bytes cannot be trusted, whatever the cause. The view's payload aliases
+/// `frame`; parse_packet() is the same check plus a copy of the payload.
+std::optional<PacketView> parse_packet_view(std::span<const std::byte> frame);
 std::optional<Packet> parse_packet(std::span<const std::byte> frame);
 
 }  // namespace emcgm::net

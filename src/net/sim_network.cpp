@@ -29,7 +29,7 @@ std::string net_error_what(std::uint32_t src, std::uint32_t dst,
 struct Event {
   std::uint64_t tick = 0;
   std::uint64_t order = 0;  ///< enqueue order, breaks same-tick ties
-  std::vector<std::byte> frame;
+  SharedFrame frame;
 };
 
 struct EventLater {
@@ -182,14 +182,18 @@ void SimNetwork::send(std::uint32_t src, std::uint32_t dst,
   EMCGM_CHECK_MSG(!dead_[src] && !dead_[dst],
                   "send on a link with a dead endpoint: " << src << "->"
                                                           << dst);
+  enqueue_data(src, dst, payload);
+}
+
+void SimNetwork::enqueue_data(std::uint32_t src, std::uint32_t dst,
+                              std::span<const std::byte> payload) {
   LinkState& l = link(src, dst);
-  Packet pkt;
-  pkt.type = PacketType::kData;
-  pkt.src = src;
-  pkt.dst = dst;
-  pkt.seq = l.next_seq++;
-  pkt.payload = std::move(payload);
-  l.window.push_back(Unacked{pkt.seq, frame_packet(pkt), 0, 0});
+  const std::uint64_t seq = l.next_seq++;
+  l.window.push_back(Unacked{
+      seq,
+      std::make_shared<const std::vector<std::byte>>(
+          frame_packet(PacketView{PacketType::kData, src, dst, seq, payload})),
+      0, 0});
 }
 
 std::uint64_t SimNetwork::rto(std::uint32_t attempts) const {
@@ -213,7 +217,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
   std::uint64_t tick = 0;
   std::uint64_t order_counter = 0;
 
-  auto transmit = [&](const Packet& pkt, const std::vector<std::byte>& frame) {
+  auto transmit = [&](const PacketView& pkt, const SharedFrame& frame) {
     switch (pkt.type) {
       case PacketType::kData:
         ++out.stats.data_sent;
@@ -231,13 +235,14 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
         ++out.stats.rejoin_acks;
         break;
     }
-    out.stats.wire_bytes += frame.size();
+    const std::size_t frame_bytes = frame->size();
+    out.stats.wire_bytes += frame_bytes;
     if (crossing(pkt.src, pkt.dst)) {
-      out.stats.crossing_wire_bytes += frame.size();
+      out.stats.crossing_wire_bytes += frame_bytes;
     }
 
     const LinkVerdict v =
-        injector_.on_transmit(pkt.src, pkt.dst, pkt.type, frame.size());
+        injector_.on_transmit(pkt.src, pkt.dst, pkt.type, frame_bytes);
     if (v.drop) {
       ++out.stats.dropped;
       return;
@@ -246,13 +251,17 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     if (v.delayed) ++out.stats.delayed;
 
     const std::uint64_t base = cfg_.fault.base_latency_ticks;
-    std::vector<std::byte> copy = frame;
+    SharedFrame sent = frame;
     if (v.corrupt) {
+      // Only a corrupted transmission gets its own bytes; the window keeps
+      // the clean frame for retransmission.
       ++out.stats.corrupted;
-      copy[v.corrupt_pos % copy.size()] ^= std::byte{0x40};
+      auto bad = std::make_shared<std::vector<std::byte>>(*frame);
+      (*bad)[v.corrupt_pos % bad->size()] ^= std::byte{0x40};
+      sent = std::move(bad);
     }
     events.push(Event{tick + base + v.extra_delay, order_counter++,
-                      std::move(copy)});
+                      std::move(sent)});
     if (v.duplicate) {
       ++out.stats.duplicated;
       events.push(
@@ -261,14 +270,14 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
   };
 
   auto handle_arrival = [&](const std::vector<std::byte>& frame) {
-    const std::optional<Packet> parsed = parse_packet(frame);
+    const std::optional<PacketView> parsed = parse_packet_view(frame);
     if (!parsed) {
       // In-flight corruption: the CRC (or frame structure) check rejected
       // it. The sender's retransmission timer recovers.
       ++out.stats.corrupt_discarded;
       return;
     }
-    const Packet& pkt = *parsed;
+    const PacketView& pkt = *parsed;
     if (pkt.src >= p_ || pkt.dst >= p_) return;
     if (dead_[pkt.src] || dead_[pkt.dst]) return;
     // Heartbeat-class frames never travel through pair simulations (the
@@ -297,7 +306,9 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     } else if (pkt.seq == l.expect) {
       ++out.stats.delivered_messages;
       out.stats.delivered_payload_bytes += pkt.payload.size();
-      inbox.push_back(Delivery{pkt.src, std::move(parsed->payload)});
+      inbox.push_back(Delivery{
+          pkt.src, std::vector<std::byte>(pkt.payload.begin(),
+                                          pkt.payload.end())});
       ++l.expect;
       // Drain the resequencing buffer while it continues the in-order run.
       for (auto it = l.ooo.find(l.expect); it != l.ooo.end();
@@ -309,7 +320,8 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
         ++l.expect;
       }
     } else {
-      if (l.ooo.emplace(pkt.seq, parsed->payload).second) {
+      if (l.ooo.try_emplace(pkt.seq, pkt.payload.begin(), pkt.payload.end())
+              .second) {
         ++out.stats.out_of_order_buffered;
       } else {
         ++out.stats.duplicates_discarded;
@@ -318,12 +330,9 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
 
     // Cumulative ack (also on dup/out-of-order arrivals: a lost ack must not
     // leave the sender retransmitting forever).
-    Packet ack;
-    ack.type = PacketType::kAck;
-    ack.src = pkt.dst;
-    ack.dst = pkt.src;
-    ack.seq = l.expect - 1;
-    transmit(ack, frame_packet(ack));
+    const PacketView ack{PacketType::kAck, pkt.dst, pkt.src, l.expect - 1, {}};
+    transmit(ack, std::make_shared<const std::vector<std::byte>>(
+                      frame_packet(ack)));
   };
 
   // The pair's two directed links, in canonical order — the same relative
@@ -339,7 +348,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
         if (u.attempts != 0) continue;
         u.attempts = 1;
         u.last_sent = tick;
-        const std::optional<Packet> pkt = parse_packet(u.frame);
+        const std::optional<PacketView> pkt = parse_packet_view(*u.frame);
         EMCGM_ASSERT(pkt.has_value());
         transmit(*pkt, u.frame);
       }
@@ -366,9 +375,9 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     // Arrivals first: an ack landing at this tick cancels a same-tick
     // retransmission.
     while (!events.empty() && events.top().tick <= tick) {
-      const std::vector<std::byte> frame = std::move(events.top().frame);
+      const SharedFrame frame = events.top().frame;
       events.pop();
-      handle_arrival(frame);
+      handle_arrival(*frame);
     }
 
     // Then retransmissions that are (still) due.
@@ -386,7 +395,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
         ++u.attempts;
         u.last_sent = tick;
         ++out.stats.retransmissions;
-        const std::optional<Packet> pkt = parse_packet(u.frame);
+        const std::optional<PacketView> pkt = parse_packet_view(*u.frame);
         EMCGM_ASSERT(pkt.has_value());
         transmit(*pkt, u.frame);
       }
@@ -521,20 +530,12 @@ void SimNetwork::load_pair_mail(std::uint32_t lo, std::uint32_t hi,
   const std::size_t mtu = cfg_.mtu_bytes;
   EMCGM_CHECK(mtu > 0);
   const std::uint32_t ends[2][2] = {{lo, hi}, {hi, lo}};
-  const std::vector<std::byte>* streams[2] = {&lo_to_hi, &hi_to_lo};
+  const std::span<const std::byte> streams[2] = {lo_to_hi, hi_to_lo};
   for (int d = 0; d < 2; ++d) {
-    const std::vector<std::byte>& bytes = *streams[d];
-    LinkState& l = link(ends[d][0], ends[d][1]);
+    const std::span<const std::byte> bytes = streams[d];
     for (std::size_t off = 0; off < bytes.size(); off += mtu) {
-      const std::size_t len = std::min(mtu, bytes.size() - off);
-      Packet pkt;
-      pkt.type = PacketType::kData;
-      pkt.src = ends[d][0];
-      pkt.dst = ends[d][1];
-      pkt.seq = l.next_seq++;
-      pkt.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                         bytes.begin() + static_cast<std::ptrdiff_t>(off + len));
-      l.window.push_back(Unacked{pkt.seq, frame_packet(pkt), 0, 0});
+      enqueue_data(ends[d][0], ends[d][1],
+                   bytes.subspan(off, std::min(mtu, bytes.size() - off)));
     }
   }
 }
@@ -581,7 +582,11 @@ void SimNetwork::post(std::uint32_t src, std::uint32_t dst,
                   "post on a link with a dead endpoint: " << src << "->"
                                                           << dst);
   auto& box = mail_[slot(src, dst)];
-  box.insert(box.end(), bytes.begin(), bytes.end());
+  if (box.empty()) {
+    box = std::move(bytes);
+  } else {
+    box.insert(box.end(), bytes.begin(), bytes.end());
+  }
 }
 
 void SimNetwork::finish_sender(std::uint32_t src) {

@@ -58,6 +58,7 @@
 #include <exception>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -87,6 +88,10 @@ class NetError : public Error {
   std::uint32_t src_;
   std::uint32_t dst_;
 };
+
+/// An immutable wire frame, shared by a sender window, the in-flight events
+/// carrying it and any duplicate, so putting it on the wire copies nothing.
+using SharedFrame = std::shared_ptr<const std::vector<std::byte>>;
 
 /// One payload handed to the application, tagged with the sending processor.
 struct Delivery {
@@ -252,7 +257,7 @@ class SimNetwork {
  private:
   struct Unacked {
     std::uint64_t seq = 0;
-    std::vector<std::byte> frame;  ///< clean frame; corruption hits copies
+    SharedFrame frame;             ///< clean frame; corruption hits copies
     std::uint64_t last_sent = 0;   ///< tick of the latest transmission
     std::uint32_t attempts = 0;    ///< 0 = queued by send(), not yet on wire
   };
@@ -286,10 +291,16 @@ class SimNetwork {
   }
 
   /// Move the two mailbox streams of pair {lo, hi} into MTU-sized frames on
-  /// the corresponding link windows. Caller owns the pair.
+  /// the corresponding link windows (freeing the streams before the pair is
+  /// simulated). Caller owns the pair.
   void load_pair_mail(std::uint32_t lo, std::uint32_t hi,
                       std::vector<std::byte> lo_to_hi,
                       std::vector<std::byte> hi_to_lo);
+
+  /// Append a data frame carrying `payload` to the window of src -> dst,
+  /// assigning the link's next sequence number.
+  void enqueue_data(std::uint32_t src, std::uint32_t dst,
+                    std::span<const std::byte> payload);
 
   /// Simulate pair {lo, hi} to quiescence with a pair-local clock and event
   /// queue. Deterministic given the pair's window contents and the fault

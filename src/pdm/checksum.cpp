@@ -6,6 +6,11 @@
 
 #include "util/error.h"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define EMCGM_CRC32C_SSE42 1
+#include <nmmintrin.h>
+#endif
+
 namespace emcgm::pdm {
 
 namespace {
@@ -24,6 +29,57 @@ constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
 }
 
 constexpr auto kCrcTable = make_crc32c_table();
+
+// Both update functions advance the raw (pre-inverted) CRC register `c`
+// over `n` bytes; crc32c() does the inversions around them.
+using CrcUpdateFn = std::uint32_t (*)(std::uint32_t c, const std::byte* p,
+                                      std::size_t n);
+
+std::uint32_t table_update(std::uint32_t c, const std::byte* p,
+                           std::size_t n) {
+  for (; n > 0; --n, ++p) {
+    c = kCrcTable[(c ^ static_cast<std::uint8_t>(*p)) & 0xFF] ^ (c >> 8);
+  }
+  return c;
+}
+
+#ifdef EMCGM_CRC32C_SSE42
+// The SSE4.2 `crc32` instruction computes exactly this polynomial with the
+// same bit order, so feeding it little-endian 8-byte words reproduces the
+// table loop byte for byte. Compiled for SSE4.2 regardless of the build's
+// -march; only called once the CPU says it has the instruction.
+__attribute__((target("sse4.2"))) std::uint32_t sse42_update(
+    std::uint32_t c, const std::byte* p, std::size_t n) {
+  // Byte steps up to an 8-byte boundary keep the word loads aligned.
+  for (; n > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7) != 0; --n, ++p) {
+    c = _mm_crc32_u8(c, static_cast<std::uint8_t>(*p));
+  }
+  std::uint64_t c64 = c;
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    c64 = _mm_crc32_u64(c64, word);
+  }
+  c = static_cast<std::uint32_t>(c64);
+  for (; n > 0; --n, ++p) c = _mm_crc32_u8(c, static_cast<std::uint8_t>(*p));
+  return c;
+}
+#endif
+
+CrcUpdateFn pick_crc_update() {
+#ifdef EMCGM_CRC32C_SSE42
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return sse42_update;
+#endif
+  return table_update;
+}
+
+/// The dispatched update, selected on first use (a function-local static,
+/// so a caller in another translation unit's static initializer is safe).
+CrcUpdateFn crc_update() {
+  static const CrcUpdateFn fn = pick_crc_update();
+  return fn;
+}
 
 // Header field offsets within the 24-byte envelope.
 constexpr std::size_t kOffMagic = 0;
@@ -56,12 +112,15 @@ std::uint32_t tagged_crc(std::uint32_t disk, std::uint64_t track,
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
-  std::uint32_t c = ~seed;
-  for (std::byte b : data) {
-    c = kCrcTable[(c ^ static_cast<std::uint8_t>(b)) & 0xFF] ^ (c >> 8);
-  }
-  return ~c;
+  return ~crc_update()(~seed, data.data(), data.size());
 }
+
+std::uint32_t crc32c_table(std::span<const std::byte> data,
+                           std::uint32_t seed) {
+  return ~table_update(~seed, data.data(), data.size());
+}
+
+bool crc32c_hardware() { return crc_update() != table_update; }
 
 void seal_block(std::uint32_t disk, std::uint64_t track,
                 std::span<const std::byte> payload,

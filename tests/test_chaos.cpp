@@ -8,6 +8,7 @@
 // race detector.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -298,6 +299,20 @@ TEST(Chaos, PlanJsonRoundTripsExactly) {
   }
 }
 
+TEST(Chaos, PlanJsonKeepsFull64BitIntegers) {
+  // Integer fields are parsed exactly; through a double these seeds would
+  // replay as a neighbouring value (...752 -> ...768).
+  for (std::uint64_t seed : {std::uint64_t{3782779476662304752ull},
+                             std::numeric_limits<std::uint64_t>::max()}) {
+    ChaosPlan plan;
+    plan.seed = seed;
+    plan.events = {{ChaosEvent::Kind::kKill, 4294967295u, seed, 0.0}};
+    const ChaosPlan parsed = ChaosPlan::parse_json(plan.to_json());
+    EXPECT_EQ(parsed.seed, seed);
+    EXPECT_EQ(parsed.events, plan.events) << plan.to_json();
+  }
+}
+
 TEST(Chaos, ParseJsonRejectsMalformedInput) {
   const char* bad[] = {
       "",
@@ -307,6 +322,12 @@ TEST(Chaos, ParseJsonRejectsMalformedInput) {
       R"({"seed": 1, "events": [{"proc": 0}]})",  // event without a kind
       R"({"seed": 1, "events": [{"kind": "meteor-strike"}]})",
       R"({"bogus": 1})",
+      R"({"seed": 1.5, "events": []})",                    // fractional
+      R"({"seed": 1e3, "events": []})",                    // exponent
+      R"({"seed": -1, "events": []})",                     // negative
+      R"({"seed": 18446744073709551616, "events": []})",   // 2^64
+      R"({"seed": 1, "events": [{"kind": "kill", "proc": 4294967296}]})",
+      R"({"seed": 1, "events": [{"kind": "kill", "value": 2.5}]})",
   };
   for (const char* text : bad) {
     try {

@@ -66,6 +66,51 @@ TEST(Checksum, Crc32cKnownAnswer) {
   EXPECT_EQ(crc32c(std::span<const std::byte>{}), 0u);
 }
 
+TEST(Checksum, Crc32cRfc3720Vectors) {
+  // RFC 3720 §B.4 CRC-32C examples, 32 bytes each.
+  std::vector<std::byte> zeros(32, std::byte{0x00});
+  std::vector<std::byte> ones(32, std::byte{0xFF});
+  std::vector<std::byte> up(32), down(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    up[i] = static_cast<std::byte>(i);
+    down[i] = static_cast<std::byte>(31 - i);
+  }
+  for (auto fn : {&crc32c, &crc32c_table}) {
+    EXPECT_EQ(fn(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(fn(ones, 0), 0x62A8AB43u);
+    EXPECT_EQ(fn(up, 0), 0x46DD794Eu);
+    EXPECT_EQ(fn(down, 0), 0x113FDB5Cu);
+  }
+}
+
+TEST(Checksum, DispatchedPathMatchesTable) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32c_hardware(), __builtin_cpu_supports("sse4.2") != 0);
+#endif
+  // Every length 0..1024 at every start offset modulo 8 exercises the
+  // hardware path's unaligned head, word loop and byte tail.
+  const auto buf = pattern(1024 + 8, 17);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::span<const std::byte> s(buf.data() + off, len);
+      ASSERT_EQ(crc32c(s), crc32c_table(s)) << "off " << off << " len " << len;
+      ASSERT_EQ(crc32c(s, 0x9E3779B9u), crc32c_table(s, 0x9E3779B9u))
+          << "seeded, off " << off << " len " << len;
+    }
+  }
+}
+
+TEST(Checksum, Crc32cChainsOverConcatenation) {
+  const auto buf = pattern(777, 5);
+  const std::span<const std::byte> all(buf);
+  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                          std::size_t{8}, std::size_t{300}, buf.size()}) {
+    EXPECT_EQ(crc32c(all.subspan(cut), crc32c(all.first(cut))), crc32c(all))
+        << "cut " << cut;
+  }
+}
+
 TEST(Checksum, SealUnsealRoundTrip) {
   const auto payload = pattern(100, 3);
   std::vector<std::byte> phys(100 + kEnvelopeBytes);

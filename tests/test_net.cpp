@@ -128,6 +128,73 @@ TEST(Packet, TruncationRejected) {
   }
 }
 
+TEST(Packet, WireFormatGolden) {
+  // Frames pinned byte for byte, CRC included: any change to the header
+  // layout, the CRC's coverage or the CRC itself breaks this test.
+  net::Packet data;
+  data.type = net::PacketType::kData;
+  data.src = 2;
+  data.dst = 5;
+  data.seq = 0x0123456789ABCDEFull;
+  for (int i = 0; i < 19; ++i) {
+    data.payload.push_back(static_cast<std::byte>(i * 37 + 11));
+  }
+  const std::vector<std::uint8_t> want_data = {
+      0x4B, 0x50, 0x4D, 0x45, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+      0x00, 0x05, 0x00, 0x00, 0x00, 0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45,
+      0x23, 0x01, 0x13, 0x00, 0x00, 0x00, 0x1C, 0xD7, 0x18, 0x03, 0x0B,
+      0x30, 0x55, 0x7A, 0x9F, 0xC4, 0xE9, 0x0E, 0x33, 0x58, 0x7D, 0xA2,
+      0xC7, 0xEC, 0x11, 0x36, 0x5B, 0x80, 0xA5};
+  net::Packet ack;
+  ack.type = net::PacketType::kAck;
+  ack.src = 5;
+  ack.dst = 2;
+  ack.seq = 41;
+  const std::vector<std::uint8_t> want_ack = {
+      0x4B, 0x50, 0x4D, 0x45, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+      0x00, 0x02, 0x00, 0x00, 0x00, 0x29, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x57, 0x92, 0x5D, 0x10};
+  for (const auto& [pkt, want] :
+       {std::pair{&data, &want_data}, std::pair{&ack, &want_ack}}) {
+    const auto frame = net::frame_packet(*pkt);
+    ASSERT_EQ(frame.size(), want->size());
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      EXPECT_EQ(static_cast<std::uint8_t>(frame[i]), (*want)[i])
+          << "type " << static_cast<int>(pkt->type) << " byte " << i;
+    }
+  }
+}
+
+TEST(Packet, ViewParsesFrameAtOddOffset) {
+  net::Packet p;
+  p.type = net::PacketType::kData;
+  p.src = 1;
+  p.dst = 3;
+  p.seq = 9;
+  p.payload = bytes_of("misaligned payload bytes");
+  const auto frame = net::frame_packet(p);
+  for (std::size_t off : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+    std::vector<std::byte> buf(off + frame.size() + 5, std::byte{0xAA});
+    std::copy(frame.begin(), frame.end(), buf.begin() + off);
+    const std::span<const std::byte> inner(buf.data() + off, frame.size());
+    const auto view = net::parse_packet_view(inner);
+    ASSERT_TRUE(view.has_value()) << "offset " << off;
+    EXPECT_EQ(view->type, p.type);
+    EXPECT_EQ(view->src, p.src);
+    EXPECT_EQ(view->dst, p.dst);
+    EXPECT_EQ(view->seq, p.seq);
+    // The payload is borrowed from the buffer, not copied.
+    EXPECT_EQ(view->payload.data(), inner.data() + net::kPacketHeaderBytes);
+    EXPECT_TRUE(std::equal(view->payload.begin(), view->payload.end(),
+                           p.payload.begin(), p.payload.end()));
+    // The surrounding bytes are not part of the frame.
+    EXPECT_FALSE(net::parse_packet_view(
+                     std::span<const std::byte>(buf.data() + off,
+                                                frame.size() + 1))
+                     .has_value());
+  }
+}
+
 // --------------------------------------------------------- fault injector --
 
 TEST(LinkFaultInjector, DeterministicPerPlan) {
