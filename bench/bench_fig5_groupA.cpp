@@ -2,6 +2,12 @@
 // CGM algorithms (O(N/(pDB)) parallel I/Os) against the classical PDM
 // algorithms on the same simulated disks (mergesort with its
 // log_{M/(DB)}(N/M) passes; permutation's min(N/D, sort) branches).
+//
+// Crossover gate: the bench exits nonzero unless both sorts return the
+// std::sort of their input and EM-CGM's A1 ratio ops/(N/(DB)) is below
+// mergesort's at every N >= 2^20, the regime where the merge-pass logarithm
+// outgrows the simulation's constant.
+#include <algorithm>
 #include <cstdio>
 
 #include "algo/permute.h"
@@ -27,6 +33,7 @@ pdm::DiskArray make_disks(std::uint32_t D, std::size_t B) {
 
 int main(int argc, char** argv) {
   const TraceOption trace = trace_arg(argc, argv);
+  const std::string json_path = json_arg(argc, argv);
   const std::uint32_t v = 16, D = 4;
   const std::size_t B = 4096;
   const std::size_t per_block = B / sizeof(std::uint64_t);
@@ -41,23 +48,40 @@ int main(int argc, char** argv) {
       mem);
 
   // ------------------------------------------------------------- sorting --
+  bool gate_ok = true;
+  Table sort_t({"N", "stream N/(DB)", "EM-CGM ops", "EM-CGM ratio",
+                "mergesort ops", "mergesort ratio", "merge passes"});
   {
-    Table t({"N", "stream N/(DB)", "EM-CGM ops", "EM-CGM ratio",
-             "mergesort ops", "mergesort ratio", "merge passes"});
+    Table& t = sort_t;
     for (std::size_t n : {1u << 16, 1u << 18, 1u << 20, 1u << 21}) {
       auto keys = random_keys(n, n);
       auto cfg = standard_config(v, 1, D, B);
       const bool traced = n == (1u << 18);  // representative sort run
       if (traced) trace.arm(cfg);
       cgm::Machine em(cgm::EngineKind::kEm, checked(cfg));
-      algo::sort_keys(em, keys);
+      const auto cgm_out = algo::sort_keys(em, keys);
       if (traced) trace.write(em.engine());
       const auto cgm_ops = em.total().io.total_ops();
 
       auto disks = make_disks(D, B);
       baseline::SortStats stats;
-      baseline::em_mergesort(disks, keys, mem, &stats);
+      const auto merge_out = baseline::em_mergesort(disks, keys, mem, &stats);
+      auto expect = keys;
+      std::sort(expect.begin(), expect.end());
+      if (cgm_out != expect || merge_out != expect) {
+        std::fprintf(stderr, "FAIL: N=%zu %s output differs from std::sort\n",
+                     n, cgm_out != expect ? "EM-CGM" : "mergesort");
+        gate_ok = false;
+      }
       const double stream = static_cast<double>(n) / per_block / D;
+      if (n >= (1u << 20) && cgm_ops >= stats.io.total_ops()) {
+        std::fprintf(stderr,
+                     "FAIL: N=%zu EM-CGM ops %llu >= mergesort ops %llu —"
+                     " the A1 crossover does not hold\n",
+                     n, static_cast<unsigned long long>(cgm_ops),
+                     static_cast<unsigned long long>(stats.io.total_ops()));
+        gate_ok = false;
+      }
       t.row({fmt_u(n), fmt(stream, 0), fmt_u(cgm_ops),
              fmt(cgm_ops / stream, 2), fmt_u(stats.io.total_ops()),
              fmt(stats.io.total_ops() / stream, 2),
@@ -67,13 +91,16 @@ int main(int argc, char** argv) {
     t.print();
     std::printf(
         "Shape: the EM-CGM ratio stays flat; the mergesort ratio carries"
-        " the log_{M/(DB)}(N/M) pass factor.\n\n");
+        " the log_{M/(DB)}(N/M) pass factor, and the bench exits nonzero"
+        " unless both outputs are sorted and EM-CGM is below mergesort at"
+        " every N >= 2^20.\n\n");
   }
 
   // ---------------------------------------------------------- permutation --
+  Table perm_t({"N", "EM-CGM ops", "naive (N/D branch) ops",
+                "sort-based ops", "naive/EM-CGM"});
   {
-    Table t({"N", "EM-CGM ops", "naive (N/D branch) ops",
-             "sort-based ops", "naive/EM-CGM"});
+    Table& t = perm_t;
     for (std::size_t n : {1u << 14, 1u << 16, 1u << 18}) {
       auto values = random_keys(n + 1, n);
       auto perm = random_permutation(n + 2, n);
@@ -102,8 +129,9 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------ transpose --
+  Table tr_t({"rows x cols", "EM-CGM ops", "naive ops", "sort-based ops"});
   {
-    Table t({"rows x cols", "EM-CGM ops", "naive ops", "sort-based ops"});
+    Table& t = tr_t;
     for (auto [r, c] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
              {1u << 7, 1u << 8}, {1u << 8, 1u << 8}, {1u << 6, 1u << 10}}) {
       const std::size_t n = r * c;
@@ -129,5 +157,9 @@ int main(int argc, char** argv) {
         "Shape: simulation linear in N/(DB); baselines pay the min(M, rows,"
         " cols, N/B) logarithm or the per-item N/D cost.\n");
   }
-  return 0;
+
+  write_json_report(json_path, {{"fig5_a1_sorting", sort_t},
+                                {"fig5_a2_permutation", perm_t},
+                                {"fig5_a3_transpose", tr_t}});
+  return gate_ok ? 0 : 1;
 }

@@ -2,22 +2,31 @@
 // constant-round CGM sorting as cited by the paper for Fig. 5 row A1).
 //
 // lambda = 6 compound supersteps, independent of N:
-//   0  local sort, send v regular samples to processor 0
+//   0  stable local sort, send v regular samples to processor 0
 //   1  processor 0 sorts the <= v^2 samples, broadcasts v-1 splitters
 //   2  partition local runs by splitter, send bucket k to processor k
-//   3  sort received bucket, all-gather bucket counts
+//   3  merge the v received runs, all-gather bucket counts
 //   4  compute global ranks, rebalance to exact even chunks
 //   5  emit output
-// Regular sampling bounds every bucket by 2N/v + v items; processor 0 holds
-// v^2 samples in round 1, giving the paper's N >= v^3-type slackness
-// (kappa <= 3). Ties are broken by a globally unique id, so the bound holds
-// for arbitrary duplicate-heavy inputs. The output is the exact even-chunk
-// distribution (chunk_size(N, v, j) items on processor j), totally sorted
-// across processors; the sort is not stable.
+//
+// Only keys move between rounds. Ties are broken implicitly: the item at
+// index j of processor i's stably sorted run is ordered by the triple
+// (value under Less, i, j). Only the regular samples (and the splitters
+// drawn from them) carry that triple explicitly; every other comparison
+// derives it from where the item sits. The order is total and agrees with
+// every local run, so regular sampling bounds every bucket by 2N/v + v
+// items even on duplicate-heavy inputs, and processor 0 holds v^2 samples
+// in round 1, giving the paper's N >= v^3-type slackness (kappa <= 3).
+//
+// Output contract: the result is the exact even-chunk distribution
+// (chunk_size(N, v, j) items on processor j) of std::stable_sort applied to
+// the global input in scatter order (processor-major) under Less.
 #pragma once
 
 #include <algorithm>
 #include <functional>
+#include <ranges>
+#include <type_traits>
 #include <vector>
 
 #include "algo/primitives.h"
@@ -26,34 +35,18 @@
 
 namespace emcgm::algo {
 
-/// Item wrapper carrying a globally unique tie-break id.
-template <typename T>
-struct WithId {
-  T val;
-  std::uint64_t gid;
-};
-
 template <typename T>
 struct SampleSortState {
   std::uint32_t phase = 0;
-  std::vector<WithId<T>> data;
-  std::vector<WithId<T>> splitters;
-  std::uint64_t total = 0;
-  std::uint64_t my_offset = 0;
+  std::vector<T> data;
 
   void save(WriteArchive& ar) const {
     ar.put(phase);
     ar.put_vec(data);
-    ar.put_vec(splitters);
-    ar.put(total);
-    ar.put(my_offset);
   }
   void load(ReadArchive& ar) {
     phase = ar.get<std::uint32_t>();
-    data = ar.get_vec<WithId<T>>();
-    splitters = ar.get_vec<WithId<T>>();
-    total = ar.get<std::uint64_t>();
-    my_offset = ar.get<std::uint64_t>();
+    data = ar.get_vec<T>();
   }
 };
 
@@ -67,30 +60,33 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
   void round(cgm::ProcCtx& ctx, State& st) const override {
     const std::uint32_t v = ctx.nprocs();
     switch (st.phase) {
-      case 0: {  // local sort + regular samples to processor 0
-        auto raw = ctx.input_items<T>(0);
-        st.data.reserve(raw.size());
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-          st.data.push_back(WithId<T>{
-              raw[i], static_cast<std::uint64_t>(i) * v + ctx.pid()});
+      case 0: {  // stable local sort + regular samples to processor 0
+        st.data = ctx.input_items<T>(0);
+        if constexpr (kKeysAreBytes) {
+          // Equivalent keys are byte-identical: any sort is the stable one,
+          // and introsort beats stable_sort here (EXPERIMENTS.md, keys-only
+          // sample sort).
+          std::sort(st.data.begin(), st.data.end());
+        } else {
+          std::stable_sort(st.data.begin(), st.data.end(), Less{});
         }
-        std::sort(st.data.begin(), st.data.end(), cmp());
-        std::vector<WithId<T>> samples;
-        if (!st.data.empty()) {
-          samples.reserve(v);
-          for (std::uint32_t k = 0; k < v; ++k) {
-            samples.push_back(
-                st.data[static_cast<std::size_t>(k) * st.data.size() / v]);
-          }
+        const std::size_t n = st.data.size();
+        // Value-initialized, so padding after val is zero on the wire.
+        std::vector<Sample> samples(n == 0 ? 0 : v);
+        for (std::uint32_t k = 0; k < samples.size(); ++k) {
+          const std::size_t pos = static_cast<std::size_t>(k) * n / v;
+          samples[k].val = st.data[pos];
+          samples[k].pid = ctx.pid();
+          samples[k].pos = pos;
         }
         ctx.send_vec(0, samples);
         break;
       }
       case 1: {  // processor 0 chooses and broadcasts splitters
         if (ctx.pid() == 0) {
-          auto samples = ctx.recv_concat<WithId<T>>();
-          std::sort(samples.begin(), samples.end(), cmp());
-          std::vector<WithId<T>> spl;
+          auto samples = ctx.recv_concat<Sample>();
+          std::sort(samples.begin(), samples.end(), SampleLess{});
+          std::vector<Sample> spl;
           if (!samples.empty()) {
             spl.reserve(v - 1);
             for (std::uint32_t k = 0; k + 1 < v; ++k) {
@@ -106,33 +102,36 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
         break;
       }
       case 2: {  // partition the sorted run, bucket k -> processor k
-        st.splitters = ctx.recv_from<WithId<T>>(0);
+        const auto spl = ctx.recv_from<Sample>(0);
+        const std::uint64_t me = ctx.pid();
+        const std::size_t n = st.data.size();
+        const Less less{};
         std::size_t begin = 0;
         for (std::uint32_t k = 0; k < v; ++k) {
-          std::size_t end;
-          if (k + 1 < v && k < st.splitters.size()) {
-            end = static_cast<std::size_t>(
-                std::upper_bound(st.data.begin() + begin, st.data.end(),
-                                 st.splitters[k], cmp()) -
-                st.data.begin());
-          } else {
-            end = st.data.size();
+          std::size_t end = n;
+          if (k + 1 < v && k < spl.size()) {
+            // First index whose triple (data[j], me, j) exceeds spl[k].
+            const Sample& s = spl[k];
+            const auto not_above = [&](std::size_t j) {
+              if (less(st.data[j], s.val)) return true;
+              if (less(s.val, st.data[j])) return false;
+              return me < s.pid || (me == s.pid && j <= s.pos);
+            };
+            const auto idx = std::views::iota(begin, n);
+            end = begin + static_cast<std::size_t>(
+                              std::ranges::partition_point(idx, not_above) -
+                              idx.begin());
           }
-          ctx.send_items<WithId<T>>(
-              k, std::span<const WithId<T>>(st.data.data() + begin,
-                                            end - begin));
+          ctx.send_items<T>(
+              k, std::span<const T>(st.data.data() + begin, end - begin));
           begin = end;
-          if (begin == st.data.size() && k + 1 >= st.splitters.size()) {
-            // remaining buckets are empty
-          }
         }
         st.data.clear();
         st.data.shrink_to_fit();
         break;
       }
-      case 3: {  // sort the bucket, all-gather counts
-        st.data = ctx.recv_concat<WithId<T>>();
-        std::sort(st.data.begin(), st.data.end(), cmp());
+      case 3: {  // merge the v source-ordered runs, all-gather counts
+        st.data = merge_runs(ctx);
         const std::uint64_t count = st.data.size();
         prim::send_all(ctx, std::vector<std::uint64_t>{count});
         break;
@@ -144,19 +143,14 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
           if (!by_src[j].empty()) counts[j] = by_src[j][0];
         }
         const auto prefix = prim::exclusive_prefix(counts);
-        st.total = prefix[v - 1] + counts[v - 1];
-        st.my_offset = prefix[ctx.pid()];
-        prim::send_by_rank<WithId<T>>(ctx, st.data, st.my_offset, st.total);
+        prim::send_by_rank<T>(ctx, st.data, prefix[ctx.pid()],
+                              prefix[v - 1] + counts[v - 1]);
         st.data.clear();
         st.data.shrink_to_fit();
         break;
       }
       case 5: {  // sources hold increasing rank ranges: concat is sorted
-        auto final_items = ctx.recv_concat<WithId<T>>();
-        std::vector<T> out;
-        out.reserve(final_items.size());
-        for (const auto& w : final_items) out.push_back(w.val);
-        ctx.set_output(out, 0);
+        ctx.set_output(ctx.recv_concat<T>(), 0);
         break;
       }
       default:
@@ -170,16 +164,58 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
   }
 
  private:
-  /// (value, gid)-lexicographic order: strict weak and total for any input.
-  struct Cmp {
+  /// Integral keys under std::less: equivalence is byte equality.
+  static constexpr bool kKeysAreBytes =
+      std::is_integral_v<T> && std::is_same_v<Less, std::less<T>>;
+
+  /// A regular sample with its tie-break triple made explicit.
+  struct Sample {
+    T val;
+    std::uint64_t pid;
+    std::uint64_t pos;
+  };
+
+  /// (value under Less, pid, pos)-lexicographic: total for any input.
+  struct SampleLess {
     Less less{};
-    bool operator()(const WithId<T>& a, const WithId<T>& b) const {
+    bool operator()(const Sample& a, const Sample& b) const {
       if (less(a.val, b.val)) return true;
       if (less(b.val, a.val)) return false;
-      return a.gid < b.gid;
+      return a.pid != b.pid ? a.pid < b.pid : a.pos < b.pos;
     }
   };
-  static Cmp cmp() { return Cmp{}; }
+
+  /// The inbox holds one run per source in source order, each sorted by
+  /// the implicit triple; a stable bottom-up pairwise merge (ties to the
+  /// lower source) yields the bucket in triple order. Same result as a
+  /// stable_sort of recv_concat, measurably faster (EXPERIMENTS.md).
+  static std::vector<T> merge_runs(const cgm::ProcCtx& ctx) {
+    std::vector<T> a = ctx.recv_concat<T>();
+    std::vector<std::size_t> bounds{0};
+    for (const auto& m : ctx.inbox()) {
+      bounds.push_back(bounds.back() + m.payload.size() / sizeof(T));
+    }
+    if (bounds.size() <= 2) return a;
+    std::vector<T> b(a.size());
+    while (bounds.size() > 2) {
+      std::vector<std::size_t> next{0};
+      std::size_t i = 0;
+      for (; i + 2 < bounds.size(); i += 2) {
+        std::merge(a.begin() + bounds[i], a.begin() + bounds[i + 1],
+                   a.begin() + bounds[i + 1], a.begin() + bounds[i + 2],
+                   b.begin() + bounds[i], Less{});
+        next.push_back(bounds[i + 2]);
+      }
+      if (i + 1 < bounds.size()) {  // odd run out: carry it over
+        std::copy(a.begin() + bounds[i], a.begin() + bounds[i + 1],
+                  b.begin() + bounds[i]);
+        next.push_back(bounds[i + 1]);
+      }
+      a.swap(b);
+      bounds.swap(next);
+    }
+    return a;
+  }
 };
 
 /// Sort a distributed vector; the result has the exact even-chunk layout.

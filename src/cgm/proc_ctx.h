@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -54,11 +55,12 @@ class ProcCtx {
     std::size_t bytes = 0;
     for (const auto& m : inbox_) bytes += m.payload.size();
     EMCGM_CHECK(bytes % sizeof(T) == 0);
-    std::vector<T> out;
-    out.reserve(bytes / sizeof(T));
+    std::vector<T> out(bytes / sizeof(T));
+    auto* dst = reinterpret_cast<std::byte*>(out.data());
     for (const auto& m : inbox_) {
-      auto v = bytes_to_vec<T>(m.payload);
-      out.insert(out.end(), v.begin(), v.end());
+      if (m.payload.empty()) continue;
+      std::memcpy(dst, m.payload.data(), m.payload.size());
+      dst += m.payload.size();
     }
     return out;
   }

@@ -865,11 +865,12 @@ void EmEngine::start(const cgm::Program& program,
                            << "); use the chained layout or set"
                               " staggered_slot_bytes explicitly");
     // Lemma 2 bounds a balanced message by 2 * ceil(h/v) where h is the
-    // per-processor communication volume; algorithms commonly attach
-    // routing tags that double the input volume (e.g. the sort's tie-break
-    // ids), so the derived default allows a 2x expansion plus the
-    // fragment-header slack. Programs with larger expansion must set
-    // staggered_slot_bytes explicitly.
+    // per-processor communication volume. The sort moves bare keys (its
+    // tie-break is implicit), but other algorithms attach routing tags
+    // that double the input volume (e.g. permute's index-tagged items), so
+    // the derived default allows a 2x expansion plus the fragment-header
+    // slack. Programs with larger expansion must set staggered_slot_bytes
+    // explicitly.
     slot_bytes = static_cast<std::size_t>(
         4 * ceil_div(total_input_bytes, std::uint64_t{v} * v) + 64ULL * v +
         128);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "algo/permute.h"
 #include "algo/scan.h"
@@ -164,8 +165,9 @@ TEST_P(SortSuite, OutputPartitionsAreExactChunks) {
 
 TEST_P(SortSuite, BucketBalanceUnderDuplicates) {
   // All-equal keys must not overload one processor in the bucket round:
-  // the gid tie-break guarantees <= 2N/v + v per bucket. Verify via the
-  // per-superstep h statistics of the native engine.
+  // the implicit (value, source, position) tie-break guarantees
+  // <= 2N/v + v items per bucket, and items travel as bare keys. Verify via
+  // the per-superstep h statistics of the native engine.
   if (GetParam().kind != cgm::EngineKind::kNative) return;
   auto m = machine();
   const std::size_t n = 8000;
@@ -174,7 +176,7 @@ TEST_P(SortSuite, BucketBalanceUnderDuplicates) {
   const auto& steps = m.total().comm.steps;
   ASSERT_FALSE(steps.empty());
   const double bound =
-      (2.0 * n / GetParam().v + GetParam().v + 8) * sizeof(std::uint64_t) * 2;
+      (2.0 * n / GetParam().v + GetParam().v + 8) * sizeof(std::uint64_t);
   for (const auto& s : steps) {
     EXPECT_LT(static_cast<double>(s.max_recv), bound);
   }
@@ -194,6 +196,77 @@ TEST_P(SortSuite, CustomComparatorAndType) {
   auto expect = keys;
   std::sort(expect.begin(), expect.end(), ByMod{});
   EXPECT_EQ(sorted, expect);
+}
+
+namespace {
+
+struct KeyTag {
+  std::uint32_t key;
+  std::uint32_t tag;  // input position; ignored by the order
+  bool operator==(const KeyTag&) const = default;
+};
+
+struct ByKey {
+  bool operator()(const KeyTag& a, const KeyTag& b) const {
+    return a.key < b.key;
+  }
+};
+
+struct SignlessLess {  // -0.0 and +0.0 are equivalent under <
+  bool operator()(double a, double b) const { return a < b; }
+};
+
+}  // namespace
+
+TEST_P(SortSuite, StableUnderKeyOnlyComparator) {
+  auto m = machine();
+  const auto raw = random_keys(6, 3000);
+  std::vector<KeyTag> items(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    items[i] = KeyTag{static_cast<std::uint32_t>(raw[i] % 5),
+                      static_cast<std::uint32_t>(i)};
+  }
+  auto got = m.gather(
+      algo::sample_sort<KeyTag, ByKey>(m, m.scatter<KeyTag>(items)));
+  auto expect = items;
+  std::stable_sort(expect.begin(), expect.end(), ByKey{});
+  EXPECT_EQ(got, expect);
+}
+
+TEST_P(SortSuite, SignedZerosKeepInputOrder) {
+  auto m = machine();
+  const auto raw = random_keys(7, 2000);
+  std::vector<double> vals(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    vals[i] = raw[i] % 3 == 0 ? -0.0 : raw[i] % 3 == 1 ? 0.0 : 1.0 * (i % 7);
+  }
+  auto got = m.gather(algo::sample_sort<double, SignlessLess>(
+      m, m.scatter<double>(vals)));
+  auto expect = vals;
+  std::stable_sort(expect.begin(), expect.end(), SignlessLess{});
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::signbit(got[i]), std::signbit(expect[i])) << "at " << i;
+    ASSERT_EQ(got[i], expect[i]) << "at " << i;
+  }
+}
+
+TEST_P(SortSuite, FewerItemsThanProcessors) {
+  auto m = machine();
+  for (std::size_t n = 1; n < GetParam().v; n += 2) {
+    std::vector<KeyTag> items(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      items[i] = KeyTag{static_cast<std::uint32_t>((n - i) % 2),
+                        static_cast<std::uint32_t>(i)};
+    }
+    auto sorted = algo::sample_sort<KeyTag, ByKey>(m, m.scatter<KeyTag>(items));
+    for (std::uint32_t j = 0; j < m.v(); ++j) {
+      EXPECT_EQ(sorted.part(j).size(), chunk_size(n, m.v(), j)) << "n=" << n;
+    }
+    auto expect = items;
+    std::stable_sort(expect.begin(), expect.end(), ByKey{});
+    EXPECT_EQ(m.gather(sorted), expect) << "n=" << n;
+  }
 }
 
 // ---------------------------------------------------------------- permute --

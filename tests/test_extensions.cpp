@@ -548,6 +548,44 @@ TEST(BspCost, BalancedRunsAreBspStarCompliant) {
   EXPECT_GT(observed, 0u);
 }
 
+namespace {
+
+// A one-exchange program whose h-relation is skewed by construction: every
+// processor sends all but one of its items to its right neighbour and a
+// single item to each other processor, so one-item messages sit beside
+// messages of ~N/v items.
+struct SkewState {
+  std::uint32_t phase = 0;
+  void save(WriteArchive& ar) const { ar.put(phase); }
+  void load(ReadArchive& ar) { phase = ar.get<std::uint32_t>(); }
+};
+
+class SkewedExchangeProgram final : public cgm::ProgramT<SkewState> {
+ public:
+  std::string name() const override { return "skewed_exchange"; }
+  void round(cgm::ProcCtx& ctx, SkewState& st) const override {
+    if (st.phase == 0) {
+      const auto items = ctx.input_items<std::uint64_t>(0);
+      const std::uint32_t v = ctx.nprocs();
+      const std::uint32_t right = (ctx.pid() + 1) % v;
+      std::size_t next = 0;
+      for (std::uint32_t j = 0; j < v && next < items.size(); ++j) {
+        if (j != right) ctx.send_items<std::uint64_t>(j, {&items[next++], 1});
+      }
+      ctx.send_items<std::uint64_t>(
+          right, std::span<const std::uint64_t>(items).subspan(next));
+    } else {
+      ctx.set_output(ctx.recv_concat<std::uint64_t>(), 0);
+    }
+    ++st.phase;
+  }
+  bool done(const cgm::ProcCtx&, const SkewState& st) const override {
+    return st.phase >= 2;
+  }
+};
+
+}  // namespace
+
 TEST(BspCost, BalancedRunsMeetCorollary1PerRound) {
   auto keys = random_keys(8, 1u << 16);
   cgm::MachineConfig cfg;
@@ -558,10 +596,28 @@ TEST(BspCost, BalancedRunsMeetCorollary1PerRound) {
   EXPECT_DOUBLE_EQ(cgm::corollary1_compliance(balanced.total().comm, 16),
                    1.0);
 
-  cfg.balanced_routing = false;
-  cgm::Machine raw(cgm::EngineKind::kNative, cfg);
-  algo::sort_keys(raw, keys);
-  EXPECT_LT(cgm::corollary1_compliance(raw.total().comm, 16), 1.0);
+  // The raw contrast needs an h-relation that is skewed by construction;
+  // the sort's own message sizes are too even to fail the corollary.
+  SkewedExchangeProgram skew;
+  for (const bool balance : {false, true}) {
+    cfg.balanced_routing = balance;
+    cgm::Machine m(cgm::EngineKind::kNative, cfg);
+    std::vector<cgm::PartitionSet> in;
+    in.push_back(m.scatter<std::uint64_t>(keys).set);
+    auto out = m.run(skew, std::move(in));
+    auto got =
+        m.gather(cgm::Machine::as_dist<std::uint64_t>(std::move(out[0])));
+    std::sort(got.begin(), got.end());
+    auto expect = keys;
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(got, expect);
+    const double compliance = cgm::corollary1_compliance(m.total().comm, 16);
+    if (balance) {
+      EXPECT_DOUBLE_EQ(compliance, 1.0);
+    } else {
+      EXPECT_LT(compliance, 1.0);
+    }
+  }
 }
 
 TEST(BspCost, OptimalityRatios) {
