@@ -5,6 +5,7 @@
 // without the conversion: the fraction of physical messages meeting the
 // BSP* block parameter, and the BSP/BSP* model costs.
 #include <cstdio>
+#include <string>
 
 #include "algo/sort.h"
 #include "bench/bench_util.h"
@@ -16,6 +17,7 @@ using namespace emcgm::bench;
 
 int main(int argc, char** argv) {
   const TraceOption trace = trace_arg(argc, argv);
+  const std::string json_path = json_arg(argc, argv);
   const std::uint32_t v = 16;
   const std::size_t n = 1u << 16;
   auto keys = random_keys(8, n);
@@ -35,6 +37,7 @@ int main(int argc, char** argv) {
 
   Table t({"configuration", "comm supersteps", "max h (bytes)",
            "min msg (bytes)", "Cor. 1 compliance", "T_comm (BSP)"});
+  std::uint64_t comm_steps[2] = {0, 0};  // raw, balanced
   for (bool balanced : {false, true}) {
     cgm::MachineConfig cfg;
     cfg.v = v;
@@ -46,6 +49,7 @@ int main(int argc, char** argv) {
     algo::sort_keys(m, keys);
     if (balanced) trace.write(m.engine());
     const auto& res = m.total();
+    comm_steps[balanced ? 1 : 0] = res.comm_steps;
     std::uint64_t min_msg = ~0ull;
     for (const auto& s : res.comm.steps) {
       if (s.messages > 0) min_msg = std::min(min_msg, s.min_msg_bytes);
@@ -72,6 +76,17 @@ int main(int argc, char** argv) {
       "\nExpected shape: the balanced run meets the per-round Corollary 1"
       " guarantee (compliance 1.0) — every physical message is within the"
       " slack of its round's h/v — while the raw h-relations ship"
-      " arbitrarily small messages.\n");
+      " arbitrarily small messages. The bench exits nonzero unless the"
+      " balanced row counts exactly twice the raw row's comm supersteps.\n");
+
+  write_json_report(json_path, {{"bsp_star_conversion", t},
+                                {"lemma1_min_problem_bytes", l}});
+  if (comm_steps[0] == 0 || comm_steps[1] != 2 * comm_steps[0]) {
+    std::fprintf(stderr,
+                 "FAIL: balanced comm supersteps %llu != 2 x raw %llu\n",
+                 static_cast<unsigned long long>(comm_steps[1]),
+                 static_cast<unsigned long long>(comm_steps[0]));
+    return 1;
+  }
   return 0;
 }

@@ -202,9 +202,6 @@ struct MachineConfig {
     check(chaos.disk_quota_per_proc.empty() ||
               chaos.disk_quota_per_proc.size() == p,
           "chaos.disk_quota_per_proc must be empty or have exactly p entries");
-    check(chaos.ckpt_write_version == 0 || chaos.ckpt_write_version == 2 ||
-              chaos.ckpt_write_version == 3,
-          "chaos.ckpt_write_version must be 0 (current), 2, or 3");
     check(!chaos.invariants || chaos.watchdog_steps >= 1,
           "chaos.watchdog_steps == 0 would trip the no-progress watchdog on"
           " the first superstep; need >= 1");

@@ -183,6 +183,7 @@ std::vector<PartitionSet> NativeEngine::run(
         for (auto& m : delivered) inter_inbox[m.dst].push_back(std::move(m));
       }
       result.comm.steps.push_back(step_a);
+      result.comm_steps += 1;
       record_metrics(round, "compute", &step_a);
       ++phys;
 
@@ -207,6 +208,7 @@ std::vector<PartitionSet> NativeEngine::run(
         }
       }
       result.comm.steps.push_back(step_b);
+      result.comm_steps += 1;
       record_metrics(round, "regroup", &step_b);
       ++phys;
     }

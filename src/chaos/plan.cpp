@@ -1,13 +1,11 @@
 #include "chaos/plan.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "pdm/fault.h"
 #include "routing/schedule.h"
+#include "util/json.h"
 
 namespace emcgm::chaos {
 
@@ -221,73 +219,8 @@ std::string ChaosPlan::to_json() const {
   return os.str();
 }
 
-namespace {
-
-// Minimal cursor parser for exactly the plan schema: objects, arrays,
-// strings without escapes, and numbers. Anything else is kConfig.
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw IoError(IoErrorKind::kConfig, "chaos plan JSON: " + what);
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (p >= end || *p != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++p;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') fail("escape sequences unsupported");
-      s += *p++;
-    }
-    expect('"');
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double d = std::strtod(p, &after);
-    if (after == p) fail("expected a number");
-    p = after;
-    return d;
-  }
-  /// An integer field, exactly: seeds use all 64 bits, which a double
-  /// cannot hold. Fractions, exponents, signs and values above `max` fail.
-  std::uint64_t parse_uint(std::uint64_t max) {
-    skip_ws();
-    std::uint64_t v = 0;
-    const auto [after, ec] = std::from_chars(p, end, v);
-    if (ec == std::errc::result_out_of_range || (ec == std::errc{} && v > max)) {
-      fail("integer out of range");
-    }
-    if (ec != std::errc{}) fail("expected an unsigned integer");
-    if (after < end && (*after == '.' || *after == 'e' || *after == 'E')) {
-      fail("expected an unsigned integer");
-    }
-    p = after;
-    return v;
-  }
-};
-
-}  // namespace
-
 ChaosPlan ChaosPlan::parse_json(const std::string& text) {
-  JsonCursor c{text.data(), text.data() + text.size()};
+  JsonCursor c(text, "chaos plan JSON");
   ChaosPlan plan;
   plan.seed = 0;
   c.expect('{');
@@ -298,7 +231,7 @@ ChaosPlan ChaosPlan::parse_json(const std::string& text) {
     const std::string key = c.parse_string();
     c.expect(':');
     if (key == "seed") {
-      plan.seed = c.parse_uint(std::numeric_limits<std::uint64_t>::max());
+      plan.seed = c.parse_u64();
     } else if (key == "events") {
       c.expect('[');
       while (!c.peek(']')) {
@@ -323,10 +256,9 @@ ChaosPlan ChaosPlan::parse_json(const std::string& text) {
             }
             if (!have_kind) c.fail("unknown event kind '" + name + "'");
           } else if (field == "proc") {
-            e.proc = static_cast<std::uint32_t>(
-                c.parse_uint(std::numeric_limits<std::uint32_t>::max()));
+            e.proc = c.parse_u32();
           } else if (field == "value") {
-            e.value = c.parse_uint(std::numeric_limits<std::uint64_t>::max());
+            e.value = c.parse_u64();
           } else if (field == "prob") {
             e.prob = c.parse_number();
           } else {

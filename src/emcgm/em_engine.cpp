@@ -25,10 +25,10 @@ namespace {
 constexpr std::uint64_t kMaxRounds = 1u << 20;
 constexpr std::uint32_t kNoHost = 0xFFFFFFFF;
 
-// Commit-record framing (superstep checkpointing). Version 2 added the
-// ownership map (group_host / alive) so a committed boundary records who was
-// executing each store group when it was taken; version 3 added the
-// membership epoch under which the boundary was committed.
+// Commit-record framing (superstep checkpointing): header, the membership
+// epoch the boundary was committed under, the ownership map (group_host /
+// alive) of that boundary, then the stores. Records are only ever read back
+// by the engine that wrote them, so one version is accepted.
 constexpr std::uint32_t kCkptMagic = 0x454D4B50;  // "EMKP"
 constexpr std::uint32_t kCkptVersion = 3;
 
@@ -91,6 +91,35 @@ UnpackedContext unpack_context(std::span<const std::byte> blob,
   }
   EMCGM_CHECK_MSG(ar.exhausted(), "context blob has trailing bytes");
   return ctx;
+}
+
+// The one wire format of superstep communication: the (src_g -> dst_g)
+// message batch as a self-delimiting record. Records travel bare on every
+// hop of every collective schedule; a relay reads the header to learn the
+// record's flow (group_host_[src_g], group_host_[dst_g]).
+void put_record(WriteArchive& ar, std::uint32_t src_g, std::uint32_t dst_g,
+                const std::vector<cgm::Message>& batch) {
+  ar.put<std::uint32_t>(src_g);
+  ar.put<std::uint32_t>(dst_g);
+  ar.put<std::uint64_t>(batch.size());
+  for (const auto& m : batch) {
+    ar.put<std::uint32_t>(m.src);
+    ar.put<std::uint32_t>(m.dst);
+    ar.put_bytes(m.payload);
+  }
+}
+
+// The record body after its (src_g, dst_g) header.
+void get_record_body(ReadArchive& ar, std::vector<cgm::Message>& batch) {
+  const auto count = ar.get<std::uint64_t>();
+  batch.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t k = 0; k < count; ++k) {
+    cgm::Message m;
+    m.src = ar.get<std::uint32_t>();
+    m.dst = ar.get<std::uint32_t>();
+    m.payload = ar.get_bytes();
+    batch.push_back(std::move(m));
+  }
 }
 
 }  // namespace
@@ -295,11 +324,6 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
   }
   const std::uint64_t seq = commit_.seq + 1;
   const int slot = static_cast<int>(seq % 2);
-  // Record version on the wire: current (v3) unless a test pinned the
-  // legacy v2 (pre-membership-epoch) framing to exercise the upgrade path.
-  const std::uint32_t wv = cfg_.chaos.ckpt_write_version == 0
-                               ? kCkptVersion
-                               : cfg_.chaos.ckpt_write_version;
   // Every store group commits — including those of a dead machine, whose
   // disks survive it (remounted by the adopting survivor). A fail-stop crash
   // of one machine's disks must not abort the others' records: collect the
@@ -319,11 +343,11 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
     try {
       WriteArchive ar;
       ar.put<std::uint32_t>(kCkptMagic);
-      ar.put<std::uint32_t>(wv);
+      ar.put<std::uint32_t>(kCkptVersion);
       ar.put<std::uint64_t>(seq);
       ar.put<std::uint64_t>(round);
       ar.put<std::uint32_t>(static_cast<std::uint32_t>(phase));
-      if (wv >= 3) ar.put<std::uint64_t>(epoch_);  // v2 predates the epoch
+      ar.put<std::uint64_t>(epoch_);
       for (std::uint32_t g2 = 0; g2 < cfg_.p; ++g2) {
         ar.put<std::uint32_t>(group_host_[g2]);
       }
@@ -392,7 +416,7 @@ void EmEngine::restore_from_commit() {
     ReadArchive ar(body);
     const auto magic = ar.get<std::uint32_t>();
     const auto version = ar.get<std::uint32_t>();
-    if (magic != kCkptMagic || (version != 2 && version != kCkptVersion)) {
+    if (magic != kCkptMagic || version != kCkptVersion) {
       throw IoError(IoErrorKind::kCorruption,
                     "commit record has bad magic/version");
     }
@@ -402,16 +426,14 @@ void EmEngine::restore_from_commit() {
     EMCGM_CHECK_MSG(seq == commit_.seq && round == commit_.round &&
                         phase == static_cast<std::uint32_t>(commit_.phase),
                     "commit record does not match the in-memory commit mark");
-    // Membership epoch (v3): the epoch under which the boundary was taken.
-    // A fail-over bumps the epoch *before* restoring the record committed
+    // Membership epoch: the epoch under which the boundary was taken. A
+    // fail-over bumps the epoch *before* restoring the record committed
     // under the old epoch, so the recorded value is a floor, not an
-    // equality. A v2 (pre-epoch) record upgrades as epoch 0 — whose
-    // fault-coin streams are exactly the pre-epoch streams, so a resumed v2
-    // run stays bit-identical.
-    const auto rec_epoch = version >= 3 ? ar.get<std::uint64_t>() : 0;
+    // equality.
+    const auto rec_epoch = ar.get<std::uint64_t>();
     EMCGM_CHECK_MSG(rec_epoch <= epoch_,
                     "commit record from a future membership epoch");
-    // Ownership map (v2): who hosted each store group at this boundary. The
+    // Ownership map: who hosted each store group at this boundary. The
     // in-memory map is authoritative — a fail-over re-assigns hosts *before*
     // restoring, and the restore must not undo that — so the recorded map is
     // only validated, not applied.
@@ -439,47 +461,58 @@ void EmEngine::bump_epoch() {
 }
 
 void EmEngine::rebuild_schedule() {
-  if (!net_ || cfg_.net.schedule == routing::ScheduleKind::kDirect) {
-    sched_.reset();
-    return;
-  }
+  sched_.reset();
+  next_hop_.clear();
+  if (!net_) return;
   std::vector<std::uint32_t> hosts;
   for (std::uint32_t q = 0; q < cfg_.p; ++q) {
     if (alive_[q]) hosts.push_back(q);
   }
-  if (cfg_.net.schedule == routing::ScheduleKind::kCustom) {
+  routing::ScheduleKind kind = cfg_.net.schedule;
+  if (kind == routing::ScheduleKind::kCustom) {
     // User-supplied schedule JSON. At run start (epoch 0, full membership)
     // it must cover exactly this machine — anything else is a typed
     // configuration error before a byte moves. A later membership epoch
     // cannot re-derive a hand-written host set, so the run falls back to
-    // the direct path for its remaining epochs (documented policy,
+    // the direct schedule for its remaining epochs (documented policy,
     // NetConfig::custom_schedule_json): the schedule shape only changes the
     // wire layout, never the delivered bytes, so the fall-back preserves
     // bit-identical output. The JSON's own "kind" label is free — a ring
     // exported by tools/schedule_check replays fine as kCustom.
     routing::CommSchedule s =
         routing::parse_schedule_json(cfg_.net.custom_schedule_json);
-    if (s.p != cfg_.p || s.hosts != hosts) {
-      if (epoch_ == 0) {
-        std::ostringstream os;
-        os << "custom schedule covers p=" << s.p << " with "
-           << s.hosts.size() << " hosts but the machine has p=" << cfg_.p
-           << " with " << hosts.size() << " live hosts at run start";
-        throw IoError(IoErrorKind::kConfig, os.str());
-      }
-      sched_.reset();  // membership changed: fall back to direct
-      return;
+    if (s.p == cfg_.p && s.hosts == hosts) {
+      sched_ = std::move(s);
+    } else if (epoch_ == 0) {
+      std::ostringstream os;
+      os << "custom schedule covers p=" << s.p << " with " << s.hosts.size()
+         << " hosts but the machine has p=" << cfg_.p << " with "
+         << hosts.size() << " live hosts at run start";
+      throw IoError(IoErrorKind::kConfig, os.str());
+    } else {
+      kind = routing::ScheduleKind::kDirect;  // membership changed
     }
-    routing::verify_schedule(s);
-    sched_ = std::move(s);
-    return;
   }
-  sched_ = routing::make_schedule(
-      cfg_.net.schedule, cfg_.p, hosts,
-      routing::machines_from_roots(cfg_.p, cfg_.file_roots));
-  // Safety net: every derived schedule must pass the model checker before
-  // the engine routes a byte through it. Throws typed IoError(kConfig).
+  if (!sched_) {
+    sched_ = routing::make_schedule(
+        kind, cfg_.p, hosts,
+        routing::machines_from_roots(cfg_.p, cfg_.file_roots));
+  }
+  // Safety net: every schedule — direct included — must pass the model
+  // checker before the engine routes a byte through it. Throws typed
+  // IoError(kConfig).
   routing::verify_schedule(*sched_);
+  const std::size_t pp = static_cast<std::size_t>(cfg_.p) * cfg_.p;
+  next_hop_.assign(sched_->steps.size(),
+                   std::vector<std::uint32_t>(pp, kNoHost));
+  for (std::size_t si = 0; si < sched_->steps.size(); ++si) {
+    for (const routing::Transfer& t : sched_->steps[si].transfers) {
+      for (const routing::Flow& fl : t.flows) {
+        next_hop_[si][static_cast<std::size_t>(fl.first) * cfg_.p +
+                      fl.second] = t.dst;
+      }
+    }
+  }
 }
 
 std::vector<std::uint32_t> EmEngine::rebalance_groups() const {
@@ -581,7 +614,7 @@ void EmEngine::validate_commit_record(std::uint32_t g,
   ReadArchive ar(body);
   const auto magic = ar.get<std::uint32_t>();
   const auto version = ar.get<std::uint32_t>();
-  if (magic != kCkptMagic || (version != 2 && version != kCkptVersion)) {
+  if (magic != kCkptMagic || version != kCkptVersion) {
     throw IoError(IoErrorKind::kCorruption,
                   "migrated commit record has bad magic/version");
   }
@@ -1226,14 +1259,17 @@ void EmEngine::regroup_real_proc(RunState& rs, std::uint32_t r,
   }
 }
 
-// Post one finished store group's crossing batches into the network's
-// per-link mailboxes (p > 1, net enabled; called from the host's own
-// worker thread). Records are serialized in (src_g, dst_g) order — each
-// host drives its groups ascending and this loop scans dst_g ascending,
-// so every link's mailbox stream is canonical whatever the thread
-// interleaving. The batches stay in `out.by_owner`: deliver_staged still
-// counts the h-relation from them at the barrier, single-threaded, which
-// is what keeps StepComm accumulation race-free without shadow counters.
+// Post one finished store group's crossing batches into the step-0 round
+// of the collective schedule (p > 1, net enabled; called from the host's
+// own worker thread). Each (g, dst_g) batch travels as one self-delimiting
+// record on the step-0 link of its flow (host, group_host_[dst_g]); a flow
+// the first step leaves in place keeps its batch in `out.by_owner` until
+// deliver_staged relays it. Records are posted in (g, dst_g) order — each
+// host drives its groups ascending and this loop scans dst_g ascending — so
+// every link's mailbox stream is canonical whatever the thread interleaving.
+// Posted batches stay in `out.by_owner` too: deliver_staged still counts
+// the h-relation from them at the barrier, single-threaded, which is what
+// keeps StepComm accumulation race-free without shadow counters.
 void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
                           ProcOutcome& out) {
   const std::uint32_t p = cfg_.p;
@@ -1244,18 +1280,14 @@ void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
   std::uint64_t posted_bytes = 0;
   for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
     const auto& batch = out.by_owner[dst_g];
-    if (batch.empty() || group_host_[dst_g] == host) continue;
+    const std::uint32_t fin = group_host_[dst_g];
+    if (batch.empty() || fin == host) continue;
+    const std::uint32_t to = next_hop_[0][host * p + fin];
+    if (to == kNoHost) continue;
     WriteArchive ar;
-    ar.put<std::uint32_t>(g);
-    ar.put<std::uint32_t>(dst_g);
-    ar.put<std::uint64_t>(batch.size());
-    for (const auto& m : batch) {
-      ar.put<std::uint32_t>(m.src);
-      ar.put<std::uint32_t>(m.dst);
-      ar.put_bytes(m.payload);
-    }
+    put_record(ar, g, dst_g, batch);
     posted_bytes += ar.size();
-    net_->post(host, group_host_[dst_g], ar.take());
+    net_->post(host, to, ar.take());
   }
   span.set_aux(posted_bytes);
 }
@@ -1268,7 +1300,7 @@ void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
 // into a DeadProcsError for the fail-over path; any other error rethrows
 // (the open mailbox round is aborted either way so the fault-coin cursors
 // stay mode-independent — see SimNetwork::abort_round). With the network
-// enabled each host posts a group's crossing batches as soon as the group
+// enabled each host posts a group's step-0 records as soon as the group
 // finishes, so the pump overlaps delivery with the remaining compute.
 std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
                                                        bool compute) {
@@ -1282,11 +1314,9 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
       } else {
         regroup_real_proc(rs, g, outcomes[g]);
       }
-      if (net_ && !sched_path() && !outcomes[g].error) {
-        post_group(rs, host, g, outcomes[g]);
-      }
+      if (net_ && !outcomes[g].error) post_group(rs, host, g, outcomes[g]);
     }
-    if (net_ && !sched_path()) net_->finish_sender(host);
+    if (net_) net_->finish_sender(host);
   };
   std::vector<std::uint32_t> hosts;
   for (std::uint32_t h = 0; h < p; ++h) {
@@ -1325,16 +1355,19 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
 // *hosts*: a message crosses the network iff the hosts of its source and
 // destination groups differ (identical to the old src_r != dst_r when the
 // assignment is the identity). With the simulated network enabled, the
-// crossing batches already traveled during the phase: each host posted
-// them (post_group) as MTU-fragmented per-link record streams through the
-// reliable protocol, and collect() closes the round here at the barrier.
-// NetStats picks up the wire tax (retransmissions, duplicates, corrupt
-// frames) while StepComm keeps counting the delivered payload — the
-// realized h-relation. Either way each store group then writes its
-// arrivals, gathered in canonical (src_g-ascending) order and
+// crossing batches travel the verified collective schedule as records
+// (put_record), one mailbox round per schedule step through the reliable
+// protocol. Step 0 was posted during the phase (post_group) and is
+// collected here; every later step runs at the barrier, each relay
+// forwarding the records of the flows the step moves. Direct is the
+// one-step schedule, so for it the barrier only closes the overlapped
+// round. NetStats picks up the wire tax (retransmissions, duplicates,
+// corrupt frames, relay hops) while StepComm keeps counting the delivered
+// payload — the realized h-relation. Either way each store group then
+// writes its arrivals, gathered in canonical (src_g-ascending) order and
 // stable-sorted by (src, dst), so the bytes on disk are bit-identical
-// between the direct path, the lossy-network path, any degraded-mode
-// assignment, and both use_threads modes.
+// between the in-process path, every schedule over lossy links, any
+// degraded-mode assignment, and both use_threads modes.
 void EmEngine::deliver_staged(RunState& rs,
                               std::vector<ProcOutcome>& outcomes) {
   const std::uint32_t p = cfg_.p;
@@ -1363,153 +1396,78 @@ void EmEngine::deliver_staged(RunState& rs,
       step.max_recv = std::max(step.max_recv, recv[r]);
     }
 
-    // batches[dst_g][src_g]: the (src_g -> dst_g) message batch, however
-    // it traveled. Filled directly for same-host pairs, decoded from
-    // network deliveries otherwise. Crossing batches were already posted
-    // by post_group as self-delimiting records, one byte stream per
-    // (host, host) link — records in (src_g, dst_g) order, so the stream
-    // is canonical — which collect() fragments into frames of at most
-    // net.mtu_bytes: a link fault costs one fragment's retransmission,
-    // not a whole superstep's batch.
+    // batches[dst_g][src_g]: the (src_g -> dst_g) message batch wherever
+    // it currently is. Same-host batches are staged directly, and so are
+    // crossing batches whose flow the first schedule step leaves at its
+    // origin; the rest went out in the step-0 round and are decoded from
+    // the deliveries below.
     std::vector<std::vector<std::vector<cgm::Message>>> batches(
         p, std::vector<std::vector<cgm::Message>>(p));
-    const net::NetStats net_mark = net_ ? net_->stats() : net::NetStats{};
     for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
       for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
         auto& batch = outcomes[src_g].by_owner[dst_g];
         if (batch.empty()) continue;
-        if (net_ && group_host_[src_g] != group_host_[dst_g]) continue;
+        const std::uint32_t o = group_host_[src_g], f = group_host_[dst_g];
+        if (net_ && o != f && next_hop_[0][o * p + f] != kNoHost) continue;
         batches[dst_g][src_g] = std::move(batch);
       }
     }
-    if (net_ && !sched_path()) {
+    if (net_) {
       obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect, epid,
                               0, -1, -1, phys_step_, rs.round);
-      std::vector<std::vector<net::Delivery>> inboxes;
-      try {
-        inboxes = net_->collect();
-      } catch (const net::NetError&) {
-        // Attribute the exhausted link before giving up: a fail-stopped
-        // peer is a fail-over, an overwhelmed retry budget is an error.
-        auto dead = net_->probe_dead();
-        if (!dead.empty() && cfg_.net.failover) {
-          throw DeadProcsError{std::move(dead), std::current_exception()};
-        }
-        throw;
-      }
-      for (std::uint32_t h = 0; h < p; ++h) {
-        // Reassemble each sender's fragment stream (per-link delivery is
-        // FIFO, so concatenation in arrival order restores it exactly),
-        // then parse the self-delimiting batch records back out.
-        std::vector<std::vector<std::byte>> stream_from(p);
-        for (auto& d : inboxes[h]) {
-          auto& s = stream_from[d.src];
-          s.insert(s.end(), d.payload.begin(), d.payload.end());
-        }
-        for (std::uint32_t hs = 0; hs < p; ++hs) {
-          if (stream_from[hs].empty()) continue;
-          ReadArchive ar(stream_from[hs]);
-          while (!ar.exhausted()) {
-            const auto src_g = ar.get<std::uint32_t>();
-            const auto dst_g = ar.get<std::uint32_t>();
-            EMCGM_CHECK_MSG(
-                src_g < p && dst_g < p && group_host_[dst_g] == h,
-                "network delivery misrouted");
-            const auto count = ar.get<std::uint64_t>();
-            auto& batch = batches[dst_g][src_g];
-            EMCGM_CHECK_MSG(batch.empty(),
-                            "duplicate network batch delivered");
-            batch.reserve(static_cast<std::size_t>(count));
-            for (std::uint64_t k = 0; k < count; ++k) {
-              cgm::Message m;
-              m.src = ar.get<std::uint32_t>();
-              m.dst = ar.get<std::uint32_t>();
-              m.payload = ar.get_bytes();
-              batch.push_back(std::move(m));
+      const net::NetStats net_mark = net_->stats();
+      std::vector<std::vector<std::uint32_t>> hosted(p);
+      for (std::uint32_t g = 0; g < p; ++g) hosted[group_host_[g]].push_back(g);
+      const std::vector<routing::ScheduleStep>& steps = sched_->steps;
+      // A schedule over fewer than two live hosts has no steps; its step-0
+      // round is open all the same (and empty).
+      const std::size_t nsteps = std::max<std::size_t>(steps.size(), 1);
+      for (std::size_t si = 0; si < nsteps; ++si) {
+        obs::SpanScope step_span(si > 0 ? tr : nullptr, eshard,
+                                 obs::SpanKind::kSchedStep, epid,
+                                 static_cast<std::uint32_t>(si), -1, -1,
+                                 phys_step_, rs.round);
+        if (si > 0) {
+          net_->begin_round();
+          std::uint64_t posted_bytes = 0, posted_transfers = 0;
+          for (const routing::Transfer& t : steps[si].transfers) {
+            WriteArchive ar;
+            for (const routing::Flow& fl : t.flows) {
+              for (std::uint32_t src_g : hosted[fl.first]) {
+                for (std::uint32_t dst_g : hosted[fl.second]) {
+                  auto& batch = batches[dst_g][src_g];
+                  if (batch.empty()) continue;
+                  put_record(ar, src_g, dst_g, batch);
+                  batch.clear();
+                }
+              }
             }
+            if (ar.size() == 0) continue;
+            posted_bytes += ar.size();
+            posted_transfers += 1;
+            net_->post(t.src, t.dst, ar.take());
           }
-        }
-      }
-      const net::NetStats delta = net_->stats() - net_mark;
-      step.wire_bytes = delta.wire_bytes;
-      step.retransmissions = delta.retransmissions;
-      net_span.set_aux(delta.wire_bytes, delta.retransmissions);
-    } else if (net_) {
-      // Non-direct collective schedule: execute the verified plan
-      // literally. Each crossing (src_g, dst_g) batch record is bundled
-      // into its (orig host, fin host) *flow* — records appended src_g
-      // then dst_g ascending, so every flow's byte stream is canonical —
-      // and flows move whole, one hop per schedule step, each step one
-      // store-and-forward mailbox round through the same reliable
-      // protocol as the direct path. The verifier proved exactly-once
-      // delivery and balance on this plan, so after the last step every
-      // flow sits at its fin host (checked again below, byte-level).
-      obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect, epid,
-                              0, -1, -1, phys_step_, rs.round);
-      const routing::CommSchedule& sched = *sched_;
-      std::vector<std::vector<std::vector<std::byte>>> flow(
-          p, std::vector<std::vector<std::byte>>(p));
-      for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-        for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-          const auto& batch = outcomes[src_g].by_owner[dst_g];
-          if (batch.empty()) continue;
-          const std::uint32_t hs = group_host_[src_g];
-          const std::uint32_t hd = group_host_[dst_g];
-          if (hs == hd) continue;  // staged directly above
-          WriteArchive ar;
-          ar.put<std::uint32_t>(src_g);
-          ar.put<std::uint32_t>(dst_g);
-          ar.put<std::uint64_t>(batch.size());
-          for (const auto& m : batch) {
-            ar.put<std::uint32_t>(m.src);
-            ar.put<std::uint32_t>(m.dst);
-            ar.put_bytes(m.payload);
+          for (std::uint32_t h = 0; h < p; ++h) {
+            if (alive_[h]) net_->finish_sender(h);
           }
-          const auto bytes = ar.take();
-          auto& f = flow[hs][hd];
-          f.insert(f.end(), bytes.begin(), bytes.end());
-        }
-      }
-      for (std::size_t si = 0; si < sched.steps.size(); ++si) {
-        const routing::ScheduleStep& stp = sched.steps[si];
-        obs::SpanScope step_span(tr, eshard, obs::SpanKind::kSchedStep,
-                                 epid, static_cast<std::uint32_t>(si), -1,
-                                 -1, phys_step_, rs.round);
-        net_->begin_round();
-        std::uint64_t posted_bytes = 0, posted_transfers = 0;
-        for (const routing::Transfer& t : stp.transfers) {
-          // Envelope stream of this link: every non-empty flow the plan
-          // moves over it, as (orig, fin, payload) records. Flows with no
-          // bytes this superstep travel as nothing at all.
-          WriteArchive ar;
-          for (const routing::Flow& fl : t.flows) {
-            auto& payload = flow[fl.first][fl.second];
-            if (payload.empty()) continue;
-            ar.put<std::uint32_t>(fl.first);
-            ar.put<std::uint32_t>(fl.second);
-            ar.put_bytes(payload);
-            payload.clear();
-          }
-          if (ar.size() == 0) continue;
-          posted_bytes += ar.size();
-          posted_transfers += 1;
-          net_->post(t.src, t.dst, ar.take());
-        }
-        for (std::uint32_t h = 0; h < p; ++h) {
-          if (alive_[h]) net_->finish_sender(h);
+          step_span.set_aux(posted_bytes, posted_transfers);
         }
         std::vector<std::vector<net::Delivery>> inboxes;
         try {
           inboxes = net_->collect();
         } catch (const net::NetError&) {
+          // Attribute the exhausted link before giving up: a fail-stopped
+          // peer is a fail-over, an overwhelmed retry budget is an error.
           auto dead = net_->probe_dead();
           if (!dead.empty() && cfg_.net.failover) {
-            throw DeadProcsError{std::move(dead),
-                                 std::current_exception()};
+            throw DeadProcsError{std::move(dead), std::current_exception()};
           }
           throw;
         }
         for (std::uint32_t h = 0; h < p; ++h) {
+          // Reassemble each sender's fragment stream (per-link delivery is
+          // FIFO, so concatenation in arrival order restores it exactly),
+          // then parse the records back out.
           std::vector<std::vector<std::byte>> stream_from(p);
           for (auto& d : inboxes[h]) {
             auto& s = stream_from[d.src];
@@ -1519,41 +1477,17 @@ void EmEngine::deliver_staged(RunState& rs,
             if (stream_from[hs].empty()) continue;
             ReadArchive ar(stream_from[hs]);
             while (!ar.exhausted()) {
-              const auto o = ar.get<std::uint32_t>();
-              const auto f = ar.get<std::uint32_t>();
-              EMCGM_CHECK_MSG(o < p && f < p,
-                              "schedule envelope names a bad flow");
-              auto payload = ar.get_bytes();
-              EMCGM_CHECK_MSG(!payload.empty() && flow[o][f].empty(),
-                              "schedule flow duplicated in transit");
-              flow[o][f] = std::move(payload);
-            }
-          }
-        }
-        step_span.set_aux(posted_bytes, posted_transfers);
-      }
-      for (std::uint32_t o = 0; o < p; ++o) {
-        for (std::uint32_t f = 0; f < p; ++f) {
-          if (flow[o][f].empty()) continue;
-          ReadArchive ar(flow[o][f]);
-          while (!ar.exhausted()) {
-            const auto src_g = ar.get<std::uint32_t>();
-            const auto dst_g = ar.get<std::uint32_t>();
-            EMCGM_CHECK_MSG(src_g < p && dst_g < p &&
-                                group_host_[src_g] == o &&
-                                group_host_[dst_g] == f,
-                            "scheduled delivery misrouted");
-            const auto count = ar.get<std::uint64_t>();
-            auto& batch = batches[dst_g][src_g];
-            EMCGM_CHECK_MSG(batch.empty(),
-                            "duplicate network batch delivered");
-            batch.reserve(static_cast<std::size_t>(count));
-            for (std::uint64_t k = 0; k < count; ++k) {
-              cgm::Message m;
-              m.src = ar.get<std::uint32_t>();
-              m.dst = ar.get<std::uint32_t>();
-              m.payload = ar.get_bytes();
-              batch.push_back(std::move(m));
+              const auto src_g = ar.get<std::uint32_t>();
+              const auto dst_g = ar.get<std::uint32_t>();
+              EMCGM_CHECK_MSG(
+                  src_g < p && dst_g < p &&
+                      next_hop_[si][group_host_[src_g] * p +
+                                    group_host_[dst_g]] == h,
+                  "network delivery misrouted");
+              auto& batch = batches[dst_g][src_g];
+              EMCGM_CHECK_MSG(batch.empty(),
+                              "duplicate network batch delivered");
+              get_record_body(ar, batch);
             }
           }
         }
@@ -1726,10 +1660,10 @@ bool EmEngine::step() {
       try_rejoin(rs.round, rs.result);
     }
     if (rs.phase == Phase::kCompute) {
-      // Open the superstep's mailbox round: hosts post crossing batches
-      // as their groups finish; deliver_staged collects at the barrier.
-      // A non-direct schedule opens its rounds at the barrier instead.
-      if (net_ && !sched_path()) net_->begin_round();
+      // Open the schedule's step-0 mailbox round: hosts post crossing
+      // records as their groups finish; deliver_staged collects it (and
+      // runs any later steps) at the barrier.
+      if (net_) net_->begin_round();
       auto outcomes = run_phase(rs, /*compute=*/true);
       rs.result.app_rounds += 1;
 
@@ -1748,9 +1682,8 @@ bool EmEngine::step() {
       for (auto& rp : procs_) rp->contexts->flip();
       if (rs.all_done) {
         // A final round sends nothing (enforced above), so the open
-        // mailbox round is empty — close it without a delivery pass. The
-        // scheduled path never opened one (and would run zero-byte steps).
-        if (net_ && !sched_path()) {
+        // mailbox round is empty — close it without a delivery pass.
+        if (net_) {
           obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect,
                                   epid, 0, -1, -1, phys_step_, rs.round);
           net_->collect();
@@ -1775,7 +1708,7 @@ bool EmEngine::step() {
       if (cfg_.checkpointing) commit(rs.round, rs.phase);
       record_step_io(rs, "compute", true, ran_round);
     } else {
-      if (net_ && !sched_path()) net_->begin_round();
+      if (net_) net_->begin_round();
       auto regroup = run_phase(rs, /*compute=*/false);
       deliver_staged(rs, regroup);
       drain_arrival_writes();

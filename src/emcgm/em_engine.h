@@ -176,8 +176,9 @@ class EmEngine final : public cgm::Engine {
   const net::SimNetwork* network() const { return net_.get(); }
 
   /// The verified collective schedule the current run routes its superstep
-  /// communication through, or nullptr (direct schedule, net disabled, or
-  /// p == 1). Re-derived and re-verified on every membership epoch.
+  /// communication through (direct is the one-step schedule), or nullptr
+  /// (net disabled or p == 1). Re-derived and re-verified on every
+  /// membership epoch.
   const routing::CommSchedule* schedule() const {
     return sched_ ? &*sched_ : nullptr;
   }
@@ -207,12 +208,6 @@ class EmEngine final : public cgm::Engine {
   std::uint32_t owner_of(std::uint32_t vproc) const {
     return vproc / nlocal();
   }
-
-  /// True when superstep communication routes through a verified collective
-  /// schedule's multi-hop rounds (engaged schedule) rather than the direct
-  /// overlapped all-to-all. Dynamic: a custom schedule falls back to direct
-  /// when a membership change invalidates it (rebuild_schedule).
-  bool sched_path() const { return net_ != nullptr && sched_.has_value(); }
 
   /// Install the cooperative run state at a given boundary (the tail of
   /// start()/start_resume()).
@@ -247,9 +242,9 @@ class EmEngine final : public cgm::Engine {
   void bump_epoch();
 
   /// Re-derive and re-verify the collective schedule over the current live
-  /// host set (no-op under kDirect / no network). Called at run start and on
-  /// every membership epoch; a schedule the verifier rejects aborts with
-  /// typed IoError(kConfig) before any byte moves.
+  /// host set, and its next-hop table (no-op without a network). Called at
+  /// run start and on every membership epoch; a schedule the verifier
+  /// rejects aborts with typed IoError(kConfig) before any byte moves.
   void rebuild_schedule();
 
   /// Deterministic greedy spread of the store groups over the live hosts:
@@ -311,8 +306,12 @@ class EmEngine final : public cgm::Engine {
   // is why degraded-mode outputs are bit-identical.
   std::unique_ptr<net::SimNetwork> net_;
   /// Verified collective schedule of the current membership epoch; engaged
-  /// iff net_ is live and cfg_.net.schedule != kDirect (rebuild_schedule).
+  /// iff net_ is live (rebuild_schedule). A custom schedule the membership
+  /// outgrew is replaced by the direct one.
   std::optional<routing::CommSchedule> sched_;
+  /// next_hop_[s][o * p + f]: the host schedule step s moves flow (o, f)
+  /// to, or kNoHost when the step leaves it where it is.
+  std::vector<std::vector<std::uint32_t>> next_hop_;
   std::vector<std::uint32_t> group_host_;
   std::vector<char> alive_;
   std::uint64_t phys_step_ = 0;  ///< monotonic physical superstep clock

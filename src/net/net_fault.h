@@ -108,10 +108,10 @@ struct NetConfig {
   /// failover, hence checkpointing).
   bool rejoin = false;
   /// Collective schedule of the superstep communication round. kDirect is
-  /// the overlapped one-step all-to-all (today's behavior); the others run
-  /// the round as verified multi-hop mailbox rounds at the barrier —
-  /// bit-identical output, different wire shape (routing/schedule.h). The
-  /// engine derives, verifies (typed kConfig on any violation), and
+  /// the one-step all-to-all; the others add verified relay steps, run as
+  /// mailbox rounds at the barrier — bit-identical output, different wire
+  /// shape (routing/schedule.h). Step 0 of every schedule overlaps compute.
+  /// The engine derives, verifies (typed kConfig on any violation), and
   /// re-derives the schedule on every membership epoch.
   routing::ScheduleKind schedule = routing::ScheduleKind::kDirect;
   /// User-supplied schedule JSON (routing::parse_schedule_json framing,

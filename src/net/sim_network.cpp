@@ -175,16 +175,6 @@ std::vector<std::uint32_t> SimNetwork::rejoin_round(
   return candidates;
 }
 
-void SimNetwork::send(std::uint32_t src, std::uint32_t dst,
-                      std::vector<std::byte> payload) {
-  EMCGM_CHECK(src < p_ && dst < p_ && src != dst);
-  EMCGM_CHECK_MSG(!round_active(), "send during an open mailbox round");
-  EMCGM_CHECK_MSG(!dead_[src] && !dead_[dst],
-                  "send on a link with a dead endpoint: " << src << "->"
-                                                          << dst);
-  enqueue_data(src, dst, payload);
-}
-
 void SimNetwork::enqueue_data(std::uint32_t src, std::uint32_t dst,
                               std::span<const std::byte> payload) {
   LinkState& l = link(src, dst);
@@ -467,21 +457,6 @@ std::vector<std::vector<Delivery>> SimNetwork::finish_pairs(
     }
   }
   return inbox;
-}
-
-std::vector<std::vector<Delivery>> SimNetwork::run_to_quiescence() {
-  EMCGM_CHECK_MSG(!round_active(),
-                  "run_to_quiescence during an open mailbox round");
-  std::vector<PairOutcome> outs(static_cast<std::size_t>(p_) * p_);
-  for (std::uint32_t lo = 0; lo < p_; ++lo) {
-    for (std::uint32_t hi = lo + 1; hi < p_; ++hi) {
-      PairOutcome& out = outs[slot(lo, hi)];
-      if (tracer_) out.t0_ns = tracer_->now_ns();
-      run_pair(lo, hi, out);
-      if (tracer_) out.t1_ns = tracer_->now_ns();
-    }
-  }
-  return finish_pairs(outs);
 }
 
 // --------------------------------------------------------- mailbox round ----

@@ -4,7 +4,7 @@
 //
 // The protocol is a deterministic, discrete-event TCP-in-miniature:
 //
-//   * per-(src, dst) sequence numbers assigned at send(),
+//   * per-(src, dst) sequence numbers assigned as frames are queued,
 //   * a sender window of unacked frames, retransmitted on timeout with the
 //     exponential backoff of a pdm::RetryPolicy (backoff_us = virtual
 //     ticks); the retry budget exhausting raises NetError,
@@ -24,21 +24,17 @@
 // load-bearing property of this file: it is what lets delivery overlap
 // compute without costing bit-for-bit determinism.
 //
-// Two ways to drive a round:
-//
-//   * send() + run_to_quiescence(): queue whole payloads, then simulate all
-//     pairs inline in canonical order (unit tests, simple callers).
-//   * the mailbox path — begin_round(); concurrent post() of serialized
-//     record-stream chunks onto per-link mailboxes as each store group
-//     finishes; finish_sender() when a host has posted everything; then
-//     collect(). A pair becomes runnable as soon as both of its endpoints
-//     finished, so with the pump thread (NetConfig::mailbox_pump) delivery
-//     of early finishers overlaps the compute of slow ones. collect()
-//     fragments each mailbox stream into MTU-sized frames, simulates every
-//     remaining pair, merges statistics in canonical pair order, and
-//     returns per-destination inboxes (per-link FIFO, links merged in
-//     src-ascending order). Pump on or off, threads or not: the returned
-//     bytes and the statistics are identical.
+// A round is driven one way, the mailbox round: begin_round(); concurrent
+// post() of serialized record-stream chunks onto per-link mailboxes (the
+// engine posts each store group's step-0 records as the group finishes);
+// finish_sender() when a host has posted everything; then collect(). A pair
+// becomes runnable as soon as both of its endpoints finished, so with the
+// pump thread (NetConfig::mailbox_pump) delivery of early finishers
+// overlaps the compute of slow ones. collect() fragments each mailbox
+// stream into MTU-sized frames, simulates every remaining pair, merges
+// statistics in canonical pair order, and returns per-destination inboxes
+// (per-link FIFO, links merged in src-ascending order). Pump on or off,
+// threads or not: the returned bytes and the statistics are identical.
 //
 // All randomness comes from the LinkFaultInjector's seeded coins and all
 // ties break on (tick, enqueue order) within a pair, so a run is a pure
@@ -99,9 +95,8 @@ struct Delivery {
   std::vector<std::byte> payload;
 };
 
-/// Arbitration probe: called once per closed mailbox round (or inline
-/// quiescence run) with the round's total wire bytes and the owning job's
-/// tag. Fired from the round barrier — the collector thread, after every
+/// Arbitration probe: called once per closed mailbox round with the round's
+/// total wire bytes and the owning job's tag. Fired from the round barrier — the collector thread, after every
 /// pair merged — so the charge stream is single-threaded and deterministic.
 /// Counted bytes, never wall time: a fair-share scheduler (src/svc/) can
 /// arbitrate on it without perturbing bit-reproducibility.
@@ -154,18 +149,7 @@ class SimNetwork {
   /// Must not be called while a mailbox round is open.
   void mark_alive(std::uint32_t proc);
 
-  /// Queue a payload for reliable delivery src -> dst (both alive).
-  void send(std::uint32_t src, std::uint32_t dst,
-            std::vector<std::byte> payload);
-
-  /// Simulate every endpoint pair to quiescence, inline and in canonical
-  /// order. Returns per-destination deliveries (per-link FIFO; links merged
-  /// in src-ascending order). Throws the canonically-first NetError when a
-  /// frame's retransmission budget exhausts — statistics of every pair,
-  /// including the failed one, are merged first.
-  std::vector<std::vector<Delivery>> run_to_quiescence();
-
-  // ---- mailbox round (the engine's concurrent delivery path) ------------
+  // ---- mailbox round ----------------------------------------------------
 
   /// Open a mailbox round. Until collect(), post()/finish_sender() may be
   /// called from any thread; with NetConfig::mailbox_pump a background pump
@@ -184,9 +168,11 @@ class SimNetwork {
   /// Close the round: fragment every mailbox stream into frames of at most
   /// NetConfig::mtu_bytes, simulate every pair not already pumped (waiting
   /// on the pump for the rest), merge statistics in canonical pair order,
-  /// and return per-destination inboxes exactly like run_to_quiescence().
-  /// Requires every live sender to have finished. Throws the canonically-
-  /// first NetError of the round after merging all statistics.
+  /// and return per-destination deliveries, one per frame (per-link FIFO;
+  /// links merged in src-ascending order). Requires every live sender to
+  /// have finished. Throws the canonically-first NetError of the round —
+  /// when a frame's retransmission budget exhausts — after merging the
+  /// statistics of every pair, including the failed one.
   std::vector<std::vector<Delivery>> collect();
 
   /// Abort an open mailbox round after a compute-phase failure: mark every
@@ -259,7 +245,7 @@ class SimNetwork {
     std::uint64_t seq = 0;
     SharedFrame frame;             ///< clean frame; corruption hits copies
     std::uint64_t last_sent = 0;   ///< tick of the latest transmission
-    std::uint32_t attempts = 0;    ///< 0 = queued by send(), not yet on wire
+    std::uint32_t attempts = 0;    ///< 0 = queued, not yet on the wire
   };
 
   /// Both directions of one ordered (src, dst) pair.

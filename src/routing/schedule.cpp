@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/json.h"
 
 namespace emcgm::routing {
 
@@ -354,51 +354,6 @@ std::string CommSchedule::to_json() const {
 
 namespace {
 
-/// Minimal cursor parser for exactly the schedule schema: objects, arrays,
-/// escape-free strings, and numbers. Mirrors the chaos-plan parser; the
-/// schema is small enough that sharing one would couple the layers for no
-/// gain.
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    bad_config("schedule JSON: " + what);
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (p >= end || *p != c) fail(std::string("expected '") + c + "'");
-    ++p;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') fail("escape sequences unsupported");
-      s += *p++;
-    }
-    expect('"');
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double d = std::strtod(p, &after);
-    if (after == p) fail("expected a number");
-    p = after;
-    return d;
-  }
-};
-
 Transfer parse_transfer(JsonCursor& c) {
   Transfer t;
   c.expect('{');
@@ -409,17 +364,17 @@ Transfer parse_transfer(JsonCursor& c) {
     const std::string field = c.parse_string();
     c.expect(':');
     if (field == "src") {
-      t.src = static_cast<std::uint32_t>(c.parse_number());
+      t.src = c.parse_u32();
     } else if (field == "dst") {
-      t.dst = static_cast<std::uint32_t>(c.parse_number());
+      t.dst = c.parse_u32();
     } else if (field == "flows") {
       c.expect('[');
       while (!c.peek(']')) {
         if (!t.flows.empty()) c.expect(',');
         c.expect('[');
-        const auto o = static_cast<std::uint32_t>(c.parse_number());
+        const auto o = c.parse_u32();
         c.expect(',');
-        const auto f = static_cast<std::uint32_t>(c.parse_number());
+        const auto f = c.parse_u32();
         c.expect(']');
         t.flows.push_back({o, f});
       }
@@ -435,7 +390,7 @@ Transfer parse_transfer(JsonCursor& c) {
 }  // namespace
 
 CommSchedule parse_schedule_json(const std::string& text) {
-  JsonCursor c{text.data(), text.data() + text.size()};
+  JsonCursor c(text, "schedule JSON");
   CommSchedule s;
   bool have_p = false;
   c.expect('{');
@@ -448,17 +403,17 @@ CommSchedule parse_schedule_json(const std::string& text) {
     if (key == "kind") {
       s.kind = schedule_kind_from_string(c.parse_string());
     } else if (key == "p") {
-      s.p = static_cast<std::uint32_t>(c.parse_number());
+      s.p = c.parse_u32();
       have_p = true;
     } else if (key == "hosts") {
       c.expect('[');
       while (!c.peek(']')) {
         if (!s.hosts.empty()) c.expect(',');
-        s.hosts.push_back(static_cast<std::uint32_t>(c.parse_number()));
+        s.hosts.push_back(c.parse_u32());
       }
       c.expect(']');
     } else if (key == "max_degree") {
-      s.max_degree = static_cast<std::uint32_t>(c.parse_number());
+      s.max_degree = c.parse_u32();
     } else if (key == "slack") {
       s.slack = c.parse_number();
     } else if (key == "steps") {

@@ -5,8 +5,9 @@
 // only needs every crossing (source host, destination host) byte stream to
 // arrive exactly once before the barrier closes. A CommSchedule makes that
 // shape explicit — an ordered list of steps, each a set of transfers, each
-// transfer moving a set of *flows* (orig-host, fin-host) one hop — instead
-// of the single hard-wired all-to-all round. Multi-hop schedules aggregate:
+// transfer moving a set of *flows* (orig-host, fin-host) one hop. The
+// all-to-all round is the one-step kDirect schedule. Multi-hop schedules
+// aggregate:
 // a tree routes all of a machine's crossing traffic through one leader link
 // and a hyper-systolic exchange (Galli) replaces the n*(n-1) direct links
 // with O(n*sqrt(n)) strided hops, which is what cuts host-crossing wire
@@ -33,9 +34,9 @@
 
 namespace emcgm::routing {
 
-/// Built-in schedule generators. kDirect is today's behavior (one step,
-/// every crossing pair its own link) and the default; the others trade
-/// extra hops for fewer (or better-placed) links.
+/// Built-in schedule generators. kDirect (one step, every crossing pair its
+/// own link) is the default; the others trade extra hops for fewer (or
+/// better-placed) links.
 enum class ScheduleKind : std::uint32_t {
   kDirect = 0,         ///< single all-to-all step, one link per crossing pair
   kRing = 1,           ///< n-1 steps, each host forwards to its successor
@@ -57,8 +58,10 @@ const char* to_string(ScheduleKind kind);
 ScheduleKind schedule_kind_from_string(const std::string& name);
 
 /// A flow is one (orig host, fin host) byte stream of the superstep's
-/// h-relation. Flows move as indivisible units: a transfer carries a flow
-/// one hop, and store-and-forward holds it whole at the intermediate host.
+/// h-relation: the engine's batch records whose source and destination
+/// groups those hosts drive. Flows move as indivisible units: a transfer
+/// carries a flow one hop, and store-and-forward holds it whole at the
+/// intermediate host.
 using Flow = std::pair<std::uint32_t, std::uint32_t>;
 
 /// One hop within a step: host `src` forwards every listed flow (which the

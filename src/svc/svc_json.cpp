@@ -1,93 +1,14 @@
 #include "svc/svc_json.h"
 
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/json.h"
 
 namespace emcgm::svc {
 
 namespace {
-
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw IoError(IoErrorKind::kConfig, "job file JSON: " + what);
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (p >= end || *p != c) fail(std::string("expected '") + c + "'");
-    ++p;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') fail("escape sequences unsupported");
-      s += *p++;
-    }
-    expect('"');
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double d = std::strtod(p, &after);
-    if (after == p) fail("expected a number");
-    p = after;
-    return d;
-  }
-  bool parse_bool() {
-    skip_ws();
-    if (end - p >= 4 && std::string(p, 4) == "true") {
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::string(p, 5) == "false") {
-      p += 5;
-      return false;
-    }
-    fail("expected true or false");
-  }
-  /// Capture a balanced {...} object verbatim (a nested document handed to
-  /// another parser — the per-job chaos plan).
-  std::string capture_object() {
-    skip_ws();
-    if (p >= end || *p != '{') fail("expected '{'");
-    const char* start = p;
-    int depth = 0;
-    bool in_str = false;
-    while (p < end) {
-      const char c = *p++;
-      if (in_str) {
-        if (c == '"') in_str = false;
-        continue;
-      }
-      if (c == '"') in_str = true;
-      if (c == '{') ++depth;
-      if (c == '}' && --depth == 0) return std::string(start, p);
-    }
-    fail("unterminated object");
-  }
-
-  std::uint64_t parse_u64() {
-    return static_cast<std::uint64_t>(parse_number());
-  }
-  std::uint32_t parse_u32() {
-    return static_cast<std::uint32_t>(parse_number());
-  }
-};
 
 JobSpec parse_job(JsonCursor& c) {
   JobSpec j;
@@ -145,7 +66,8 @@ void parse_pool(JsonCursor& c, PoolConfig& pool) {
     } else if (key == "disks_per_host") {
       pool.disks_per_host = c.parse_u32();
     } else if (key == "block_bytes") {
-      pool.block_bytes = static_cast<std::size_t>(c.parse_number());
+      pool.block_bytes = static_cast<std::size_t>(
+          c.parse_uint(std::numeric_limits<std::size_t>::max()));
     } else if (key == "placement") {
       const std::string policy = c.parse_string();
       if (policy == "pack") {
@@ -206,7 +128,7 @@ void parse_chaos(JsonCursor& c, ServiceSpec& spec) {
 }  // namespace
 
 ServiceSpec parse_service_json(const std::string& text) {
-  JsonCursor c{text.data(), text.data() + text.size()};
+  JsonCursor c(text, "job file JSON");
   ServiceSpec spec;
   c.expect('{');
   bool first = true;

@@ -1,6 +1,6 @@
 // JSON framing of the job service: the job file tools/jobsvc consumes and
-// the per-job result document it emits. Same hand-rolled cursor idiom as
-// chaos/plan.cpp — no third-party JSON dependency anywhere in the tree.
+// the per-job result document it emits. Read with util/json.h, the tree's
+// one JSON reader.
 #pragma once
 
 #include <cstdint>

@@ -316,6 +316,32 @@ TEST(EmEngine, BalancedRoutingDoublesCommSteps) {
   EXPECT_EQ(balanced.comm_steps, 2 * plain.comm_steps);
 }
 
+TEST(Engines, CommStepsCountEveryRecordedSuperstep) {
+  // comm_steps is the number of physical communication supersteps and
+  // comm.steps holds one StepComm per such superstep: the two must agree on
+  // both engines, raw and balanced (Lemma 2 doubles both).
+  for (cgm::EngineKind kind : {cgm::EngineKind::kNative, cgm::EngineKind::kEm}) {
+    std::uint64_t raw_steps = 0;
+    for (bool balanced : {false, true}) {
+      cgm::MachineConfig cfg;
+      cfg.v = 4;
+      cfg.balanced_routing = balanced;
+      cgm::Machine m(kind, cfg);
+      algo::sort_keys(m, random_keys(4, 2000));
+      const cgm::RunResult& r = m.total();
+      EXPECT_GT(r.comm_steps, 0u);
+      EXPECT_EQ(r.comm_steps, r.comm.steps.size())
+          << (kind == cgm::EngineKind::kEm ? "em" : "native")
+          << " balanced=" << balanced;
+      if (!balanced) {
+        raw_steps = r.comm_steps;
+      } else {
+        EXPECT_EQ(r.comm_steps, 2 * raw_steps);
+      }
+    }
+  }
+}
+
 TEST(EmEngine, FileBackendMatchesMemoryBackend) {
   auto keys = random_keys(5, 3000);
   cgm::MachineConfig cfg;

@@ -246,14 +246,22 @@ TEST(LinkFaultInjector, HeartbeatsSeeOnlyFailStop) {
 
 // ------------------------------------------------------- reliable protocol --
 
+// The reliable protocol is driven through the mailbox round. With the MTU
+// set to the message size, every posted chunk travels as exactly one frame,
+// so per-frame deliveries can be checked message by message.
+
 TEST(SimNetwork, CleanLinksDeliverInOrder) {
   net::NetConfig cfg;
   cfg.enabled = true;
+  cfg.mtu_bytes = 2;
   net::SimNetwork nw(2, cfg);
+  nw.begin_round();
   for (int i = 0; i < 10; ++i) {
-    nw.send(0, 1, bytes_of(("m" + std::to_string(i)).c_str()));
+    nw.post(0, 1, bytes_of(("m" + std::to_string(i)).c_str()));
   }
-  auto inboxes = nw.run_to_quiescence();
+  nw.finish_sender(0);
+  nw.finish_sender(1);
+  auto inboxes = nw.collect();
   ASSERT_EQ(inboxes.size(), 2u);
   ASSERT_EQ(inboxes[1].size(), 10u);
   for (int i = 0; i < 10; ++i) {
@@ -267,6 +275,7 @@ TEST(SimNetwork, CleanLinksDeliverInOrder) {
 TEST(SimNetwork, ExactlyOnceInOrderUnderHeavyFaults) {
   net::NetConfig cfg;
   cfg.enabled = true;
+  cfg.mtu_bytes = 6;  // "s>d#ii": one frame per message
   cfg.fault.seed = 31337;
   cfg.fault.drop_prob = 0.15;
   cfg.fault.dup_prob = 0.15;
@@ -276,26 +285,27 @@ TEST(SimNetwork, ExactlyOnceInOrderUnderHeavyFaults) {
   cfg.retry.max_attempts = 16;
   net::SimNetwork nw(3, cfg);
   const int kMsgs = 40;
+  auto msg = [](std::uint32_t s, std::uint32_t d, int i) {
+    return std::to_string(s) + ">" + std::to_string(d) + "#" +
+           (i < 10 ? "0" : "") + std::to_string(i);
+  };
+  nw.begin_round();
   for (int i = 0; i < kMsgs; ++i) {
     for (std::uint32_t s = 0; s < 3; ++s) {
       for (std::uint32_t d = 0; d < 3; ++d) {
-        if (s == d) continue;
-        nw.send(s, d, bytes_of((std::to_string(s) + ">" + std::to_string(d) +
-                                "#" + std::to_string(i))
-                                   .c_str()));
+        if (s != d) nw.post(s, d, bytes_of(msg(s, d, i).c_str()));
       }
     }
   }
-  auto inboxes = nw.run_to_quiescence();
+  for (std::uint32_t s = 0; s < 3; ++s) nw.finish_sender(s);
+  auto inboxes = nw.collect();
   for (std::uint32_t d = 0; d < 3; ++d) {
     // Exactly once: 2 peers x kMsgs, no loss, no duplication.
     ASSERT_EQ(inboxes[d].size(), 2u * kMsgs) << "dst " << d;
     // In order per link.
     int next[3] = {0, 0, 0};
     for (const auto& del : inboxes[d]) {
-      const auto want = std::to_string(del.src) + ">" + std::to_string(d) +
-                        "#" + std::to_string(next[del.src]++);
-      EXPECT_EQ(del.payload, bytes_of(want.c_str()));
+      EXPECT_EQ(del.payload, bytes_of(msg(del.src, d, next[del.src]++).c_str()));
     }
   }
   const auto& st = nw.stats();
@@ -309,16 +319,23 @@ TEST(SimNetwork, DeterministicAcrossRuns) {
   auto run_once = [] {
     net::NetConfig cfg;
     cfg.enabled = true;
+    cfg.mtu_bytes = 1;
     cfg.fault.seed = 7;
     cfg.fault.drop_prob = 0.2;
     cfg.fault.reorder_prob = 0.2;
     cfg.retry.max_attempts = 16;
     net::SimNetwork nw(2, cfg);
-    for (int i = 0; i < 25; ++i) nw.send(i % 2, (i + 1) % 2, bytes_of("x"));
-    nw.run_to_quiescence();
+    nw.begin_round();
+    for (int i = 0; i < 25; ++i) nw.post(i % 2, (i + 1) % 2, bytes_of("x"));
+    nw.finish_sender(0);
+    nw.finish_sender(1);
+    nw.collect();
     return nw.stats();
   };
-  EXPECT_EQ(run_once(), run_once());
+  const net::NetStats first = run_once();
+  EXPECT_EQ(first.delivered_messages, 25u);
+  EXPECT_GT(first.retransmissions, 0u);
+  EXPECT_EQ(first, run_once());
 }
 
 TEST(SimNetwork, BudgetExhaustionRaisesNetError) {
@@ -328,14 +345,18 @@ TEST(SimNetwork, BudgetExhaustionRaisesNetError) {
   cfg.fault.drop_prob = 1.0;  // nothing ever arrives
   cfg.retry.max_attempts = 4;
   net::SimNetwork nw(2, cfg);
-  nw.send(0, 1, bytes_of("doomed"));
+  nw.begin_round();
+  nw.post(0, 1, bytes_of("doomed"));
+  nw.finish_sender(0);
+  nw.finish_sender(1);
   try {
-    nw.run_to_quiescence();
+    nw.collect();
     FAIL() << "expected NetError";
   } catch (const net::NetError& e) {
     EXPECT_EQ(e.src(), 0u);
     EXPECT_EQ(e.dst(), 1u);
   }
+  EXPECT_FALSE(nw.round_active());
 }
 
 TEST(SimNetwork, HeartbeatDetectorDeclaresFailStoppedDead) {
@@ -455,6 +476,71 @@ TEST(NetEngine, PerStepWireAccountingSumsToNetStats) {
       // Per-step attribution survives concurrent delivery unchanged.
       EXPECT_EQ(res.net, serial_net);
     }
+  }
+}
+
+// ------------------------------------------------ direct wire golden ----
+
+TEST(NetGolden, DirectScheduleWireIsPinnedUnderLossAndMembershipChurn) {
+  // Direct is the one-step collective schedule: its records travel exactly
+  // the bytes of the dedicated all-to-all it replaced. These figures were
+  // recorded from that all-to-all on one fixed p=4 run — lossy links, a
+  // fail-over at step 3, the victim's rejoin at step 6 — so any change to
+  // the direct wire layout, its round structure or its fault-coin use shows
+  // up here as a moved counter. Serial and threaded hosts must agree.
+  const auto keys = random_keys(2718, 3000);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  auto ref_cfg = net_cfg(8, 4);
+  ref_cfg.net.enabled = false;
+  em::EmEngine ref(ref_cfg);
+  const auto expected = ref.run(prog, sort_inputs(8, keys));
+
+  for (bool threads : {false, true}) {
+    auto cfg = net_cfg(8, 4, threads);
+    cfg.net.failover = true;
+    cfg.net.rejoin = true;
+    cfg.net.fault.seed = 2718;
+    cfg.net.fault.drop_prob = 0.05;
+    cfg.net.fault.dup_prob = 0.03;
+    cfg.net.fault.corrupt_prob = 0.03;
+    cfg.net.fault.reorder_prob = 0.05;
+    cfg.net.fault.delay_prob = 0.05;
+    cfg.net.retry.max_attempts = 16;
+    cfg.net.fault.fail_stops = {{2, 3}};
+    cfg.net.fault.rejoins = {{2, 6}};
+    em::EmEngine e(cfg);
+    EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))));
+    const auto& r = e.last_result();
+    EXPECT_EQ(r.failovers, 1u);
+    EXPECT_EQ(r.rejoins, 1u);
+    EXPECT_EQ(r.comm.total_bytes(), 25936u);
+    EXPECT_EQ(r.io.read_ops, 367u);
+    EXPECT_EQ(r.io.write_ops, 301u);
+    EXPECT_EQ(r.io.blocks_read, 558u);
+    EXPECT_EQ(r.io.blocks_written, 553u);
+    const net::NetStats& s = r.net;
+    EXPECT_EQ(s.data_sent, 134u);
+    EXPECT_EQ(s.retransmissions, 94u);
+    EXPECT_EQ(s.acks_sent, 38u);
+    EXPECT_EQ(s.heartbeats_sent, 66u);
+    EXPECT_EQ(s.wire_bytes, 51738u);
+    EXPECT_EQ(s.crossing_wire_bytes, 51738u);
+    EXPECT_EQ(s.dropped, 104u);
+    EXPECT_EQ(s.duplicated, 5u);
+    EXPECT_EQ(s.corrupted, 3u);
+    EXPECT_EQ(s.reordered, 4u);
+    EXPECT_EQ(s.delayed, 4u);
+    EXPECT_EQ(s.delivered_messages, 34u);
+    EXPECT_EQ(s.delivered_payload_bytes, 29082u);
+    EXPECT_EQ(s.duplicates_discarded, 4u);
+    EXPECT_EQ(s.corrupt_discarded, 3u);
+    EXPECT_EQ(s.out_of_order_buffered, 0u);
+    EXPECT_EQ(s.heartbeat_rounds, 7u);
+    EXPECT_EQ(s.rejoin_requests, 3u);
+    EXPECT_EQ(s.rejoin_acks, 3u);
+    EXPECT_EQ(s.rejoins, 0u);
+    EXPECT_EQ(s.rebalance_migrations, 2u);
+    EXPECT_EQ(s.migration_bytes, 318u);
   }
 }
 

@@ -12,6 +12,7 @@
 // schedules must measurably shrink host-crossing wire bytes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <map>
 #include <numeric>
@@ -495,6 +496,31 @@ TEST(ScheduleJson, RejectsMalformedInput) {
   }
 }
 
+TEST(ScheduleJson, RejectsNegativeFractionalAndOverflowingIds) {
+  // Ids are read as exact integers: a value no uint32_t holds is a typed
+  // configuration error, never a cast.
+  auto doc = [](const std::array<std::string, 5>& v) {
+    return "{\"kind\": \"direct\", \"p\": " + v[0] + ", \"hosts\": [" +
+           v[1] + ", 1], \"max_degree\": 1, \"steps\": [[{\"src\": " +
+           v[2] + ", \"dst\": " + v[3] + ", \"flows\": [[" + v[4] +
+           ", 1]]}]]}";
+  };
+  const std::array<std::string, 5> good = {"2", "0", "0", "1", "0"};
+  EXPECT_EQ(routing::parse_schedule_json(doc(good)).p, 2u);
+  for (std::size_t field = 0; field < good.size(); ++field) {
+    for (const char* bad : {"-1", "1.5", "4294967296"}) {
+      auto v = good;
+      v[field] = bad;
+      try {
+        (void)routing::parse_schedule_json(doc(v));
+        ADD_FAILURE() << "accepted " << doc(v);
+      } catch (const IoError& e) {
+        EXPECT_EQ(e.kind(), IoErrorKind::kConfig) << doc(v);
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------- machines --
 
 TEST(ScheduleMachines, DerivedFromFileRootParents) {
@@ -539,7 +565,10 @@ TEST(ScheduleEngine, EveryScheduleBitIdenticalToDirect) {
   const auto ref_bytes = ref.last_result().comm.total_bytes();
   const auto ref_steps = ref.last_result().io_per_step.size();
   ASSERT_GT(ref_bytes, 0u);
-  EXPECT_EQ(ref.schedule(), nullptr);  // direct runs unscheduled
+  // Direct is the one-step schedule, verified like every other.
+  ASSERT_NE(ref.schedule(), nullptr);
+  EXPECT_EQ(ref.schedule()->kind, ScheduleKind::kDirect);
+  EXPECT_EQ(ref.schedule()->steps.size(), 1u);
 
   for (ScheduleKind kind : kNonDirectKinds) {
     for (bool threads : {false, true}) {
@@ -792,8 +821,11 @@ TEST(ScheduleCustom, MembershipChangeFallsBackToDirect) {
   const auto got = e.run(prog, sort_inputs(8, keys));
   EXPECT_TRUE(same_outputs(expected, got));
   ASSERT_GT(e.last_result().failovers, 0u);
-  // Degraded membership: the custom schedule is out of service.
-  EXPECT_EQ(e.schedule(), nullptr);
+  // Degraded membership: the custom schedule is out of service and the
+  // direct schedule over the survivors replaces it.
+  ASSERT_NE(e.schedule(), nullptr);
+  EXPECT_EQ(e.schedule()->kind, ScheduleKind::kDirect);
+  EXPECT_EQ(e.schedule()->hosts.size(), 3u);
 }
 
 TEST(ScheduleCustom, RejoinRestoresTheCustomSchedule) {

@@ -389,6 +389,45 @@ TEST(SvcJson, RejectsMalformedJobFiles) {
   }
 }
 
+TEST(SvcJson, IntegersAreExact) {
+  // 2^53 + 1 is the first integer a double rounds; seeds use all 64 bits.
+  const ServiceSpec s = parse_service_json(R"({
+    "jobs": [{"name": "a", "workload": "sort", "n": 9007199254740993,
+              "seed": 18446744073709551615, "arrival_tick": 9007199254740993}],
+    "chaos": {"seed": 9007199254740993, "target_tenant": 0}
+  })");
+  ASSERT_EQ(s.jobs.size(), 1u);
+  EXPECT_EQ(s.jobs[0].n, 9007199254740993ull);
+  EXPECT_EQ(s.jobs[0].seed, 18446744073709551615ull);
+  EXPECT_EQ(s.jobs[0].arrival_tick, 9007199254740993ull);
+  EXPECT_EQ(s.chaos_seed, 9007199254740993ull);
+
+  // Negative, fractional and out-of-range values are typed errors, never
+  // casts: every integer field, 64-bit and 32-bit alike.
+  const auto job_with = [](const std::string& field, const std::string& v) {
+    return "{\"jobs\": [{\"name\": \"a\", \"" + field + "\": " + v +
+           "}]}";
+  };
+  std::vector<std::string> bad_docs;
+  for (const char* field : {"n", "seed", "arrival_tick", "v", "hosts"}) {
+    for (const char* v : {"-1", "1.5"}) bad_docs.push_back(job_with(field, v));
+  }
+  for (const char* field : {"v", "hosts", "disks", "priority"}) {
+    bad_docs.push_back(job_with(field, "4294967296"));
+  }
+  bad_docs.push_back(job_with("seed", "18446744073709551616"));
+  bad_docs.push_back(
+      "{\"jobs\": [{\"name\": \"a\"}], \"chaos\": {\"seed\": -1}}");
+  for (const std::string& bad : bad_docs) {
+    try {
+      (void)parse_service_json(bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kConfig) << bad;
+    }
+  }
+}
+
 TEST(SvcJson, ArmChaosValidatesItsTarget) {
   ServiceSpec s;
   s.jobs.push_back(spec_of("only", "sort", 100, 1));
