@@ -63,7 +63,7 @@ int main() {
       "\nThe mergesort ratio is 2 x (passes+1) and keeps growing with N;"
       "\nthe simulation's ratio settles near 14 (lambda = 6 compound"
       " supersteps\nof a sample sort that moves bare keys), so the"
-      " simulation wins once\nmergesort needs more than ~8 passes — the"
+      " simulation wins once\nmergesort needs about 8 passes or more — the"
       " paper's log-factor elimination.\n");
   return 0;
 }

@@ -715,6 +715,7 @@ std::uint64_t EmEngine::try_rejoin(std::uint64_t round,
   verify_spread();
   net_->reset_links();
   const std::uint64_t record_bytes = migrate_groups(old_host, round);
+  net_->count_rejoins(candidates.size());
   result.rejoins += candidates.size();
   span.set_aux(candidates.size(), record_bytes);
   return candidates.size();

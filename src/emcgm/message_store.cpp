@@ -262,32 +262,70 @@ class ChainedStore final : public MessageStore {
   void write_messages(std::span<const cgm::Message> msgs) override {
     Side& w = sides_[1 - active_];
     const std::size_t B = array_.block_bytes();
+    const std::uint32_t D = array_.num_disks();
     // Extents come from one bump cursor, so the blocks of the whole batch
     // are stripe-consecutive and FIFO batching yields ceil(total/D) ops.
+    // Only the order in which a source's messages take the cursor is free:
+    // that order decides which disks each destination's inbox lands on.
     std::vector<std::vector<std::byte>> padded;
     std::vector<pdm::WriteSlot> slots;
-    for (const auto& m : msgs) {
-      check_local(m.dst);
-      if (m.payload.empty()) continue;
-      pdm::Extent e = w.cursor.alloc(m.payload.size(), B);
-      const std::uint64_t blocks = e.blocks(B);
-      for (std::uint64_t q = 0; q < blocks; ++q) {
-        pdm::BlockAddr a = e.addr(array_.num_disks(), q);
-        a.track = w.tracks.physical_track(a.track);
-        const std::size_t off = static_cast<std::size_t>(q) * B;
-        if (off + B <= m.payload.size()) {
-          slots.push_back(
-              pdm::WriteSlot{a, std::span<const std::byte>(
-                                    m.payload.data() + off, B)});
-        } else {
-          padded.emplace_back(B);
-          std::memcpy(padded.back().data(), m.payload.data() + off,
-                      m.payload.size() - off);
-          slots.push_back(pdm::WriteSlot{
-              a, std::span<const std::byte>(padded.back())});
-        }
+    std::vector<const cgm::Message*> run;
+    for (std::size_t i = 0; i < msgs.size();) {
+      const std::uint32_t src = msgs[i].src;
+      run.clear();
+      for (; i < msgs.size() && msgs[i].src == src; ++i) {
+        check_local(msgs[i].dst);
+        if (!msgs[i].payload.empty()) run.push_back(&msgs[i]);
       }
-      w.by_dst[m.dst - cfg_.local_base].push_back(Entry{m.src, e});
+      const std::uint32_t rot = src % cfg_.nlocal;
+      while (!run.empty()) {
+        // Staggered placement (paper Fig. 2): the next extent goes to the
+        // message whose destination ends with the lowest per-disk block
+        // peak; ties go to the rotated order starting at dloc = src mod
+        // nlocal, which alone staggers equal-sized messages across the
+        // disks. Keying on each message's own src staggers p = 1 outboxes
+        // and p > 1 arrival batches alike.
+        const auto start = static_cast<std::uint32_t>(
+            w.cursor.blocks_allocated() % D);
+        std::size_t best = 0;
+        std::uint64_t best_peak = 0;
+        std::uint32_t best_rank = 0;
+        for (std::size_t j = 0; j < run.size(); ++j) {
+          const std::uint32_t dloc = run[j]->dst - cfg_.local_base;
+          const std::uint64_t peak =
+              w.peak_after(dloc, start, ceil_div(run[j]->payload.size(), B));
+          const std::uint32_t rank = (dloc + cfg_.nlocal - rot) % cfg_.nlocal;
+          if (j == 0 || peak < best_peak ||
+              (peak == best_peak && rank < best_rank)) {
+            best = j;
+            best_peak = peak;
+            best_rank = rank;
+          }
+        }
+        const cgm::Message& m = *run[best];
+        run.erase(run.begin() + static_cast<std::ptrdiff_t>(best));
+        const std::uint32_t dloc = m.dst - cfg_.local_base;
+        pdm::Extent e = w.cursor.alloc(m.payload.size(), B);
+        w.add_load(dloc, e, B);
+        const std::uint64_t blocks = e.blocks(B);
+        for (std::uint64_t q = 0; q < blocks; ++q) {
+          pdm::BlockAddr a = e.addr(D, q);
+          a.track = w.tracks.physical_track(a.track);
+          const std::size_t off = static_cast<std::size_t>(q) * B;
+          if (off + B <= m.payload.size()) {
+            slots.push_back(
+                pdm::WriteSlot{a, std::span<const std::byte>(
+                                      m.payload.data() + off, B)});
+          } else {
+            padded.emplace_back(B);
+            std::memcpy(padded.back().data(), m.payload.data() + off,
+                        m.payload.size() - off);
+            slots.push_back(pdm::WriteSlot{
+                a, std::span<const std::byte>(padded.back())});
+          }
+        }
+        w.by_dst[dloc].push_back(Entry{m.src, e});
+      }
     }
     if (!slots.empty()) pdm::fifo_write(array_, slots);
   }
@@ -351,6 +389,7 @@ class ChainedStore final : public MessageStore {
     Side& w = sides_[1 - active_];
     w.cursor.reset();
     for (auto& d : w.by_dst) d.clear();
+    w.clear_load();
   }
 
   void save(WriteArchive& ar) const override {
@@ -392,6 +431,15 @@ class ChainedStore final : public MessageStore {
           entries.push_back(e);
         }
       }
+      // The per-disk loads are derived state: rebuilding them from the
+      // restored extents makes a replayed superstep place exactly as the
+      // original run did.
+      s.clear_load();
+      for (std::uint32_t dloc = 0; dloc < cfg_.nlocal; ++dloc) {
+        for (const Entry& e : s.by_dst[dloc]) {
+          s.add_load(dloc, e.ext, array_.block_bytes());
+        }
+      }
     }
   }
 
@@ -404,9 +452,45 @@ class ChainedStore final : public MessageStore {
     pdm::TrackRegion tracks;
     pdm::StripeCursor cursor;
     std::vector<std::vector<Entry>> by_dst;
+    std::uint32_t D;
+    std::vector<std::uint64_t> load;  // [dloc * D + disk] blocks written
+    std::vector<std::uint64_t> peak;  // [dloc] max over disks of load
 
     Side(pdm::TrackSpace& space, std::uint32_t D, std::uint32_t nlocal)
-        : tracks(space), cursor(D), by_dst(nlocal) {}
+        : tracks(space),
+          cursor(D),
+          by_dst(nlocal),
+          D(D),
+          load(static_cast<std::size_t>(nlocal) * D, 0),
+          peak(nlocal, 0) {}
+
+    /// dloc's per-disk peak if a `blocks`-block extent started on disk
+    /// `start`: every disk gains blocks / D, the next blocks % D disks one
+    /// more.
+    std::uint64_t peak_after(std::uint32_t dloc, std::uint32_t start,
+                             std::uint64_t blocks) const {
+      const std::uint64_t* l = &load[static_cast<std::size_t>(dloc) * D];
+      std::uint64_t top = peak[dloc];
+      for (std::uint64_t q = 0; q < blocks % D; ++q) {
+        top = std::max(top, l[(start + q) % D] + 1);
+      }
+      return top + blocks / D;
+    }
+
+    void add_load(std::uint32_t dloc, const pdm::Extent& e, std::size_t B) {
+      const std::uint64_t blocks = e.blocks(B);
+      peak[dloc] = peak_after(dloc, e.start_disk, blocks);
+      std::uint64_t* l = &load[static_cast<std::size_t>(dloc) * D];
+      for (std::uint32_t k = 0; k < D; ++k) l[k] += blocks / D;
+      for (std::uint64_t q = 0; q < blocks % D; ++q) {
+        ++l[(e.start_disk + q) % D];
+      }
+    }
+
+    void clear_load() {
+      std::fill(load.begin(), load.end(), 0);
+      std::fill(peak.begin(), peak.end(), 0);
+    }
   };
   struct PendingMsg {
     std::uint32_t src = 0;

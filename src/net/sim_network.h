@@ -223,6 +223,10 @@ class SimNetwork {
     stats_.migration_bytes += bytes;
   }
 
+  /// Account processors the engine re-admitted from a rejoin_round()
+  /// candidate set (after their catch-up state was restored).
+  void count_rejoins(std::uint64_t n) { stats_.rejoins += n; }
+
   /// Abandon the current protocol epoch: drop every in-flight frame, sender
   /// window, resequencing buffer, and mailbox, and rewind all sequence
   /// numbers to 1. Called when a superstep's delivery aborted (NetError ->

@@ -144,6 +144,140 @@ TEST_P(MessageStoreSuite, RejectsNonLocalDestination) {
   EXPECT_THROW(store->write_messages(batch), Error);
 }
 
+namespace {
+
+/// A one-block message from every source in [0, cfg.v) to every local
+/// destination, as one src-sorted batch (a p > 1 arrival batch) or split
+/// into one outbox per source.
+std::vector<std::vector<cgm::Message>> one_block_all_to_all(
+    const em::MessageStoreConfig& cfg, std::size_t B, bool per_source) {
+  std::vector<std::vector<cgm::Message>> batches(1);
+  for (std::uint32_t s = 0; s < cfg.v; ++s) {
+    if (per_source && s > 0) batches.emplace_back();
+    for (std::uint32_t d = cfg.local_base; d < cfg.local_base + cfg.nlocal;
+         ++d) {
+      batches.back().push_back(
+          cgm::Message{s, d, blob(B, static_cast<std::uint8_t>(s * 31 + d))});
+    }
+  }
+  return batches;
+}
+
+/// Read every local inbox; each must return its v messages in source
+/// order and cost ceil(v/D) parallel read ops (Lemma 3).
+void expect_inboxes_fully_parallel(em::MessageStore& store,
+                                   pdm::DiskArray& a,
+                                   const em::MessageStoreConfig& cfg) {
+  const std::uint64_t want = ceil_div(cfg.v, a.num_disks());
+  for (std::uint32_t d = cfg.local_base; d < cfg.local_base + cfg.nlocal;
+       ++d) {
+    const std::uint64_t before = a.stats().read_ops;
+    auto in = store.read_incoming(d);
+    EXPECT_EQ(a.stats().read_ops - before, want) << "inbox " << d;
+    ASSERT_EQ(in.size(), cfg.v);
+    for (std::uint32_t s = 0; s < cfg.v; ++s) {
+      EXPECT_EQ(in[s].src, s);
+      EXPECT_EQ(in[s].payload,
+                blob(a.block_bytes(), static_cast<std::uint8_t>(s * 31 + d)));
+    }
+  }
+}
+
+}  // namespace
+
+TEST_P(MessageStoreSuite, OutboxInboxesReadInCeilVOverDOps) {
+  // p = 1: every source writes its own outbox of one-block messages. The
+  // caller's destination order would put (s, d) on disk d mod D for every
+  // s; the stored layout must spread each inbox over all D disks.
+  for (std::uint32_t v : {8u, 10u}) {
+    auto a = make_array(4, 64);
+    pdm::TrackSpace space;
+    em::MessageStoreConfig cfg;
+    cfg.v = v;
+    cfg.nlocal = v;
+    cfg.slot_bytes = 64;
+    auto store = em::make_message_store(GetParam(), a, space, cfg);
+    for (const auto& outbox : one_block_all_to_all(cfg, 64, true)) {
+      store->write_messages(outbox);
+    }
+    store->flip();
+    SCOPED_TRACE(v);
+    expect_inboxes_fully_parallel(*store, a, cfg);
+  }
+}
+
+TEST_P(MessageStoreSuite, ArrivalBatchInboxesReadInCeilVOverDOps) {
+  // p > 1: one src-sorted arrival batch carries every source's messages to
+  // this group's nlocal < v destinations.
+  for (std::uint32_t v : {8u, 10u}) {
+    auto a = make_array(4, 64);
+    pdm::TrackSpace space;
+    em::MessageStoreConfig cfg;
+    cfg.v = v;
+    cfg.local_base = v - 4;
+    cfg.nlocal = 4;
+    cfg.slot_bytes = 64;
+    auto store = em::make_message_store(GetParam(), a, space, cfg);
+    store->write_messages(one_block_all_to_all(cfg, 64, false).front());
+    store->flip();
+    SCOPED_TRACE(v);
+    expect_inboxes_fully_parallel(*store, a, cfg);
+  }
+}
+
+TEST_P(MessageStoreSuite, ReplayAfterMidSuperstepSavePlacesIdentically) {
+  // Recovery restores a saved directory into a fresh store and replays the
+  // rest of the superstep; the replay must place every message exactly as
+  // the uninterrupted run did, or the directory and the disks disagree.
+  const std::uint32_t v = 6;
+  em::MessageStoreConfig cfg;
+  cfg.v = v;
+  cfg.nlocal = v;
+  cfg.slot_bytes = 64 * 8;
+  std::vector<std::vector<cgm::Message>> outboxes(v);
+  for (std::uint32_t s = 0; s < v; ++s) {
+    for (std::uint32_t d = 0; d < v; ++d) {
+      outboxes[s].push_back(cgm::Message{
+          s, d,
+          blob(1 + (37 * s + 53 * d) % (64 * 8),
+               static_cast<std::uint8_t>(s * 7 + d))});
+    }
+  }
+  auto directory = [](const em::MessageStore& store) {
+    WriteArchive ar;
+    store.save(ar);
+    return ar.take();
+  };
+
+  auto ua = make_array(4, 64);
+  pdm::TrackSpace uspace;
+  auto uninterrupted = em::make_message_store(GetParam(), ua, uspace, cfg);
+  for (const auto& o : outboxes) uninterrupted->write_messages(o);
+
+  auto a = make_array(4, 64);
+  pdm::TrackSpace first_space;
+  auto first = em::make_message_store(GetParam(), a, first_space, cfg);
+  for (std::uint32_t s = 0; s < v / 2; ++s) first->write_messages(outboxes[s]);
+  const auto snap = directory(*first);
+  first.reset();
+
+  pdm::TrackSpace replay_space;
+  auto replay = em::make_message_store(GetParam(), a, replay_space, cfg);
+  ReadArchive in(snap);
+  replay->load(in);
+  for (std::uint32_t s = v / 2; s < v; ++s) replay->write_messages(outboxes[s]);
+  EXPECT_EQ(directory(*replay), directory(*uninterrupted));
+
+  replay->flip();
+  for (std::uint32_t d = 0; d < v; ++d) {
+    auto in_msgs = replay->read_incoming(d);
+    ASSERT_EQ(in_msgs.size(), v);
+    for (std::uint32_t s = 0; s < v; ++s) {
+      EXPECT_EQ(in_msgs[s].payload, outboxes[s][d].payload);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Layouts, MessageStoreSuite,
                          ::testing::Values(cgm::MsgLayout::kStaggeredMatrix,
                                            cgm::MsgLayout::kChained),
