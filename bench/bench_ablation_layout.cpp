@@ -1,12 +1,13 @@
-// Ablation: message-matrix layouts. Compares the paper's fixed staggered
-// matrix (double-buffered and Observation-2 single-copy) against the
-// chained-extent store on uniform sort traffic: parallel efficiency,
-// operation counts, and disk footprint.
+// Ablation: the message store's layout on uniform sort traffic — parallel
+// efficiency, operation counts, and disk footprint of the staggered
+// chained-extent store.
 //
-// Layout gate: the bench exits nonzero unless the chained store's parallel
-// I/Os are within 1% of the double-buffered staggered matrix — the chained
-// store staggers every inbox across the disks, so it must keep the matrix's
-// Lemma 3 read parallelism without the matrix's fixed slots.
+// Layout gate: the bench exits nonzero unless the store's parallel I/Os
+// stay within 1% of the paper's fixed staggered matrix (Fig. 2). The matrix
+// is no longer built; its count for this exact run — v = 8, p = 1, N = 2^17
+// keys from seed 9, D = 4, B = 2 KiB, balanced routing, double-buffered —
+// was 2676 parallel I/Os, so the bound is floor(1.01 * 2676) = 2702. Both
+// runs are deterministic, so this is the bound the live matrix gave.
 #include <cstdio>
 
 #include "algo/sort.h"
@@ -25,13 +26,15 @@ struct Probe {
   std::uint64_t tracks;
 };
 
-Probe run(cgm::MsgLayout layout, bool single_copy, std::size_t n,
-          const TraceOption* trace = nullptr) {
+/// Parallel I/Os of the double-buffered staggered matrix on this run.
+constexpr std::uint64_t kMatrixOps = 2676;
+/// The gate: within 1% of the matrix, floor(1.01 * kMatrixOps).
+constexpr std::uint64_t kMaxOps = kMatrixOps * 101 / 100;
+
+Probe run(std::size_t n, const TraceOption& trace) {
   cgm::MachineConfig cfg = standard_config(8, 1, 4, 2048);
-  cfg.layout = layout;
-  cfg.single_copy_matrix = single_copy;
-  cfg.balanced_routing = true;  // gives the staggered matrix its size bound
-  if (trace) trace->arm(cfg);
+  cfg.balanced_routing = true;  // the setting the matrix reference ran with
+  trace.arm(cfg);
   em::EmEngine engine(checked(cfg));
 
   algo::SampleSortProgram<std::uint64_t> prog;
@@ -46,7 +49,7 @@ Probe run(cgm::MsgLayout layout, bool single_copy, std::size_t n,
   std::vector<cgm::PartitionSet> inputs;
   inputs.push_back(std::move(input));
   engine.run(prog, std::move(inputs));
-  if (trace) trace->write(engine);
+  trace.write(engine);
 
   Probe p{};
   p.ops = engine.last_result().io.total_ops();
@@ -59,39 +62,33 @@ Probe run(cgm::MsgLayout layout, bool single_copy, std::size_t n,
 
 int main(int argc, char** argv) {
   const TraceOption trace = trace_arg(argc, argv);
+  const std::string json_path = json_arg(argc, argv);
   const std::size_t n = 1u << 17;
   std::printf(
-      "Ablation: message store layouts under balanced sort traffic\n"
+      "Ablation: message store layout under balanced sort traffic\n"
       "v=8, p=1, D=4, B=2 KiB, N=2^17 items, balanced routing on.\n\n");
 
   Table t({"layout", "parallel I/Os", "parallel efficiency",
            "disk tracks used"});
-  // The chained-extent run is the traced one under --trace.
-  const auto chained = run(cgm::MsgLayout::kChained, false, n, &trace);
-  t.row({"chained extents", fmt_u(chained.ops), fmt(chained.efficiency, 3),
-         fmt_u(chained.tracks)});
-  const auto matrix = run(cgm::MsgLayout::kStaggeredMatrix, false, n);
-  t.row({"staggered matrix (double buffer)", fmt_u(matrix.ops),
-         fmt(matrix.efficiency, 3), fmt_u(matrix.tracks)});
-  {
-    auto p = run(cgm::MsgLayout::kStaggeredMatrix, true, n);
-    t.row({"staggered matrix (Observation 2, single copy)", fmt_u(p.ops),
-           fmt(p.efficiency, 3), fmt_u(p.tracks)});
-  }
+  const auto chained = run(n, trace);
+  t.row({"staggered chained extents", fmt_u(chained.ops),
+         fmt(chained.efficiency, 3), fmt_u(chained.tracks)});
   t.print();
   std::printf(
-      "\nExpected shape: all three layouts deliver near-1.0 parallel"
-      " efficiency; the single-copy matrix saves the second matrix copy's"
-      " tracks (Observation 2); chained extents use space proportional to"
-      " actual traffic rather than v^2 fixed slots. The bench exits nonzero"
-      " if chained parallel I/Os exceed the double-buffered matrix's by"
-      " more than 1%%.\n");
-  if (chained.ops * 100 > matrix.ops * 101) {
+      "\nExpected shape: near-1.0 parallel efficiency, with space"
+      " proportional to actual traffic rather than v^2 fixed slots. The"
+      " bench exits nonzero if parallel I/Os exceed %llu, 1%% above the"
+      " %llu of the paper's double-buffered staggered matrix on this run.\n",
+      static_cast<unsigned long long>(kMaxOps),
+      static_cast<unsigned long long>(kMatrixOps));
+  write_json_report(json_path, {{"message_store_layout", t}});
+  if (chained.ops > kMaxOps) {
     std::fprintf(stderr,
-                 "FAIL: chained %llu parallel I/Os > 1.01 x staggered matrix"
-                 " %llu — the chained store does not stagger its inboxes\n",
+                 "FAIL: %llu parallel I/Os > %llu (1.01 x the staggered"
+                 " matrix's %llu) — the store does not stagger its inboxes\n",
                  static_cast<unsigned long long>(chained.ops),
-                 static_cast<unsigned long long>(matrix.ops));
+                 static_cast<unsigned long long>(kMaxOps),
+                 static_cast<unsigned long long>(kMatrixOps));
     return 1;
   }
   return 0;

@@ -1,10 +1,9 @@
 // Ablation: BalancedRouting (Algorithm 1 / Lemma 2). A shift permutation
 // makes every virtual processor send its entire partition to one
-// destination — the worst-case h-relation. Without balancing, message
-// sizes span [0, N/v] and the fixed-slot message matrix must reserve
-// N/v-sized slots for all v^2 pairs; with balancing, every physical
-// message is within O(v) of N/v^2 and the matrix shrinks by ~v/2 at the
-// price of doubling the communication supersteps.
+// destination — the worst-case h-relation. Without balancing, one physical
+// message per source carries all N/v items; with balancing, every physical
+// message narrows to within O(v) of N/v^2 at the price of doubling the
+// communication supersteps.
 //
 // Second table: collective schedules (routing/schedule.h) on a 2-machine
 // file_roots layout — 4 processors, 2 per machine. Delivered payload is
@@ -33,13 +32,10 @@ struct Probe {
   std::uint64_t min_msg, max_msg, comm_steps, ops, tracks;
 };
 
-Probe run(bool balanced, cgm::MsgLayout layout, std::size_t slot_bytes,
-          std::size_t n, std::uint32_t v,
+Probe run(bool balanced, std::size_t n, std::uint32_t v,
           const TraceOption* trace = nullptr) {
   cgm::MachineConfig cfg = standard_config(v, 1, 4, 2048);
   cfg.balanced_routing = balanced;
-  cfg.layout = layout;
-  cfg.staggered_slot_bytes = slot_bytes;
   if (trace) trace->arm(cfg);
   em::EmEngine engine(checked(cfg));
 
@@ -162,49 +158,26 @@ int main(int argc, char** argv) {
   const std::size_t n = 1u << 16;
   std::printf(
       "Ablation: balanced routing under a worst-case (shift) h-relation\n"
-      "v=16, p=1, D=4, B=2 KiB, N=2^16 items. Unbalanced staggered slots"
-      " must hold N/v items; balanced slots hold ~2N/v^2.\n\n");
-
-  // Routed items are (index, value) pairs of 16 bytes each.
-  const std::size_t item = sizeof(prim::Tagged<std::uint64_t>);
-  const std::size_t big_slot = (n / v) * item + 64;
-  const std::size_t small_slot = 2 * (n / v / v) * item + 48 * v + 64;
+      "v=16, p=1, D=4, B=2 KiB, N=2^16 items.\n\n");
 
   Table t({"configuration", "phys. msg bytes [min,max]", "comm supersteps",
            "parallel I/Os", "disk tracks used"});
-  {
-    auto p = run(false, cgm::MsgLayout::kStaggeredMatrix, big_slot, n, v);
-    t.row({"unbalanced + staggered (slots = N/v)",
-           "[" + fmt_u(p.min_msg) + ", " + fmt_u(p.max_msg) + "]",
+  auto row = [&](const char* name, const Probe& p) {
+    t.row({name, "[" + fmt_u(p.min_msg) + ", " + fmt_u(p.max_msg) + "]",
            fmt_u(p.comm_steps), fmt_u(p.ops), fmt_u(p.tracks)});
-  }
-  {
-    auto p = run(true, cgm::MsgLayout::kStaggeredMatrix, small_slot, n, v);
-    t.row({"balanced + staggered (slots ~ 2N/v^2)",
-           "[" + fmt_u(p.min_msg) + ", " + fmt_u(p.max_msg) + "]",
-           fmt_u(p.comm_steps), fmt_u(p.ops), fmt_u(p.tracks)});
-  }
-  {
-    auto p = run(false, cgm::MsgLayout::kChained, 0, n, v);
-    t.row({"unbalanced + chained",
-           "[" + fmt_u(p.min_msg) + ", " + fmt_u(p.max_msg) + "]",
-           fmt_u(p.comm_steps), fmt_u(p.ops), fmt_u(p.tracks)});
-  }
-  {
-    // The balanced + chained run is the traced one under --trace.
-    auto p = run(true, cgm::MsgLayout::kChained, 0, n, v, &trace);
-    t.row({"balanced + chained",
-           "[" + fmt_u(p.min_msg) + ", " + fmt_u(p.max_msg) + "]",
-           fmt_u(p.comm_steps), fmt_u(p.ops), fmt_u(p.tracks)});
-  }
+  };
+  row("unbalanced + chained", run(false, n, v));
+  // The balanced + chained run is the traced one under --trace.
+  const Probe balanced = run(true, n, v, &trace);
+  row("balanced + chained", balanced);
   t.print();
   std::printf(
       "\nExpected shape (Theorem 1 / Lemma 2): balancing narrows every"
-      " physical message into a tight band around N/v^2 bytes (here:"
-      " %zu-byte slots instead of %zu-byte slots — a factor ~v/2 smaller"
-      " reservation per (src,dst) pair) at the cost of exactly 2x"
-      " communication supersteps.\n",
-      small_slot, big_slot);
+      " physical message from the whole N/v-item partition into a tight band"
+      " around N/v^2 items (here [%llu, %llu] bytes) at the cost of exactly"
+      " 2x communication supersteps.\n",
+      static_cast<unsigned long long>(balanced.min_msg),
+      static_cast<unsigned long long>(balanced.max_msg));
 
   std::printf(
       "\nAblation: collective schedules on a 2-machine layout\n"

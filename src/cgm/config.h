@@ -15,19 +15,6 @@
 
 namespace emcgm::cgm {
 
-/// How the EM engine lays generated messages out on the disks.
-enum class MsgLayout {
-  /// Paper Fig. 2: fixed-size slots per (src, dst) pair, staggered so that
-  /// writes by source and reads by destination are both fully parallel.
-  /// Requires a bound on the per-pair message size — guaranteed by balanced
-  /// routing (Lemma 2) or by an explicit program hint.
-  kStaggeredMatrix,
-  /// Chained striped extents with an in-memory O(v^2) directory; handles
-  /// arbitrary (unbalanced) message sizes, writes fully parallel, reads pay
-  /// at most one partial op per message.
-  kChained,
-};
-
 struct MachineConfig {
   std::uint32_t v = 4;  ///< virtual processors (the simulated CGM machine)
   std::uint32_t p = 1;  ///< real processors (EM-CGM target machine)
@@ -50,10 +37,10 @@ struct MachineConfig {
   /// behavior before this knob existed — keeps exactly the next vproc in
   /// flight; deeper windows keep the per-disk executor queues fed when a
   /// single vproc's reads cannot saturate D disks. Every depth is safe by
-  /// the same Observation-2 band-disjointness argument as depth 1 (prefetch
-  /// targets are this superstep's read regions, never its write targets) and
-  /// produces bit-identical outputs and IoStats — reads are merely *issued*
-  /// earlier, reaped by the same barriers. The window is additionally
+  /// the same double-buffer argument as depth 1 (prefetch targets are this
+  /// superstep's read regions, never its write targets) and produces
+  /// bit-identical outputs and IoStats — reads are merely *issued* earlier,
+  /// reaped by the same barriers. The window is additionally
   /// bounded by M when memory_bytes > 0: at most
   /// max(1, memory_bytes / (2 * avg context bytes)) vprocs ahead, so
   /// prefetch buffers never dominate the memory the model grants.
@@ -67,18 +54,6 @@ struct MachineConfig {
   /// Replace every application h-relation by two balanced rounds
   /// (Algorithm 1 / Lemma 2).
   bool balanced_routing = false;
-
-  MsgLayout layout = MsgLayout::kChained;
-
-  /// Fixed slot capacity (bytes) per (src, dst) pair for the staggered
-  /// matrix layout. 0 derives a bound from the input size assuming balanced
-  /// routing (2N/v^2 plus fragment-header slack, Lemma 2); a message larger
-  /// than its slot is a hard error. Ignored by the chained layout.
-  std::size_t staggered_slot_bytes = 0;
-
-  /// Observation 2: reuse one physical copy of the staggered message matrix
-  /// by alternating orientation between supersteps.
-  bool single_copy_matrix = false;
 
   pdm::BackendKind backend = pdm::BackendKind::kMemory;
   std::string file_dir;  ///< directory for BackendKind::kFile
@@ -107,8 +82,9 @@ struct MachineConfig {
   bool checksums = false;
   /// Write a versioned commit record after every physical superstep; a run
   /// that dies mid-superstep can then continue via EmEngine::resume() from
-  /// the last committed boundary. Incompatible with single_copy_matrix
-  /// (Observation-2 slot reuse clobbers the inbox a replay would re-read).
+  /// the last committed boundary. Replay re-reads the superstep's inboxes,
+  /// which the double-buffered message store keeps intact until the next
+  /// flip.
   bool checkpointing = false;
   /// Retry schedule for transient block faults (applied per block inside
   /// every parallel I/O).
@@ -130,9 +106,9 @@ struct MachineConfig {
   /// bit-identical — outputs and every stat counter — to a pre-obs build.
   obs::ObsConfig obs{};
 
-  /// Chaos harness (chaos/): runtime invariant layer, per-disk capacity
-  /// quotas, and the checkpoint-version write knob. Off by default; a
-  /// disabled run is bit-identical to a pre-chaos build.
+  /// Chaos harness (chaos/): runtime invariant layer and per-disk capacity
+  /// quotas. Off by default; a disabled run is bit-identical to a pre-chaos
+  /// build.
   chaos::ChaosConfig chaos{};
 
   /// Reject an invalid configuration up front with a typed
@@ -146,10 +122,6 @@ struct MachineConfig {
     check(v >= 1, "need at least one virtual processor");
     check(p >= 1 && p <= v, "need 1 <= p <= v");
     check(v % p == 0, "p must divide v (paper §2.2 exposition assumption)");
-    check(!(checkpointing && single_copy_matrix),
-          "checkpointing cannot replay a superstep under the Observation-2"
-          " single-copy matrix (outgoing slots overwrite the inbox being"
-          " replayed)");
     check(retry.max_attempts >= 1, "retry policy needs at least one attempt");
     check(fault_per_proc.empty() || fault_per_proc.size() == p,
           "fault_per_proc must be empty or have exactly p entries");

@@ -39,7 +39,6 @@ cgm::MachineConfig base_config(const FuzzMachine& m) {
   cfg.disk.block_bytes = m.block_bytes;
   cfg.io_threads = m.io_threads;
   cfg.use_threads = m.use_threads;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.checkpointing = true;
   cfg.checksums = true;
   cfg.backend = m.backend;

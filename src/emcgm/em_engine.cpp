@@ -238,10 +238,6 @@ struct EmEngine::RunState {
 
 EmEngine::EmEngine(cgm::MachineConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
-  if (cfg_.single_copy_matrix) {
-    EMCGM_CHECK_MSG(cfg_.layout == cgm::MsgLayout::kStaggeredMatrix,
-                    "single_copy_matrix requires the staggered layout");
-  }
   // Tracer first: RealProc disk arrays may carry a queue-depth probe into it.
   if (cfg_.obs.trace) {
     tracer_ = std::make_unique<obs::Tracer>(cfg_.p);
@@ -875,54 +871,13 @@ void EmEngine::start(const cgm::Program& program,
     EMCGM_CHECK_MSG(slot.parts.size() == v,
                     "input PartitionSet must have v parts");
   }
-  std::uint64_t total_input_bytes = 0;
-  for (const auto& slot : inputs) {
-    for (const auto& part : slot.parts) total_input_bytes += part.size();
-  }
-
-  // Staggered-slot capacity: explicit hint, or the Lemma 2 bound
-  // 2 * ceil(N / v^2) plus fragment-header slack for balanced routing.
-  std::size_t slot_bytes = cfg_.staggered_slot_bytes;
-  if (cfg_.layout == cgm::MsgLayout::kStaggeredMatrix && slot_bytes == 0) {
-    EMCGM_CHECK_MSG(cfg_.balanced_routing,
-                    "staggered layout without balanced routing has no"
-                    " message-size bound; set staggered_slot_bytes or use"
-                    " the chained layout");
-    const std::uint64_t B = cfg_.disk.block_bytes;
-    const std::uint64_t lemma2_floor =
-        static_cast<std::uint64_t>(v) * v * B +
-        static_cast<std::uint64_t>(v) * v * (v - 1) / 2;
-    EMCGM_CHECK_MSG(total_input_bytes >= lemma2_floor,
-                    "Lemma 2 precondition N >= v^2*B + v^2(v-1)/2 violated"
-                    " (N=" << total_input_bytes << " bytes, floor="
-                           << lemma2_floor
-                           << "); use the chained layout or set"
-                              " staggered_slot_bytes explicitly");
-    // Lemma 2 bounds a balanced message by 2 * ceil(h/v) where h is the
-    // per-processor communication volume. The sort moves bare keys (its
-    // tie-break is implicit), but other algorithms attach routing tags
-    // that double the input volume (e.g. permute's index-tagged items), so
-    // the derived default allows a 2x expansion plus the fragment-header
-    // slack. Programs with larger expansion must set staggered_slot_bytes
-    // explicitly.
-    slot_bytes = static_cast<std::size_t>(
-        4 * ceil_div(total_input_bytes, std::uint64_t{v} * v) + 64ULL * v +
-        128);
-  }
-
   // Fresh stores per run on the freshly reset track space; the disk arrays
   // (and their statistics) persist.
   for (std::uint32_t r = 0; r < p; ++r) {
     auto& rp = *procs_[r];
     rp.contexts = std::make_unique<ContextStore>(*rp.disks, rp.space, nloc);
-    MessageStoreConfig mcfg;
-    mcfg.v = v;
-    mcfg.local_base = r * nloc;
-    mcfg.nlocal = nloc;
-    mcfg.slot_bytes = slot_bytes;
-    mcfg.single_copy = cfg_.single_copy_matrix;
     rp.messages =
-        make_message_store(cfg_.layout, *rp.disks, rp.space, mcfg);
+        std::make_unique<MessageStore>(*rp.disks, rp.space, r * nloc, nloc);
   }
 
   // Write initial contexts: the input partitions plus a fresh program state.
@@ -1088,12 +1043,11 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
       const std::size_t inbox_msgs = inbox.size();
       // Overlap: submit the *next* virtual processor's context and inbox
       // reads now, so the executor services them while this one computes.
-      // Safe against this superstep's in-flight writes — context writes
-      // target the inactive region, and in Observation-2 single-copy mode
-      // vproc j's outgoing slots reuse exactly the band-j blocks its own
-      // inbox freed, never band j+1 (per-disk FIFO covers any same-disk
-      // pair regardless). Serial arrays skip this: the prefetch would
-      // just execute the reads early, changing nothing but span shapes.
+      // Safe against this superstep's in-flight writes — context and
+      // message writes both target the inactive side of their double
+      // buffer (per-disk FIFO covers any same-disk pair regardless).
+      // Serial arrays skip this: the prefetch would just execute the
+      // reads early, changing nothing but span shapes.
       // A window of prefetch_depth vprocs is kept in flight; when the model
       // grants finite memory the window additionally stops once its context
       // bytes would exceed M/2, leaving the computing vproc its own
@@ -1146,8 +1100,7 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
                             : std::move(outbox);
       }
       // (d) messages out. Locally addressed messages are written
-      // immediately when p == 1 (Algorithm 2 order, which is what the
-      // Observation-2 freed-slot reuse relies on); with p > 1 everything
+      // immediately when p == 1 (Algorithm 2 order); with p > 1 everything
       // is delivered at superstep end (Algorithm 3: "upon arrival").
       {
         obs::SpanScope span(tr, shard, obs::SpanKind::kOutboxWrite, host, r,

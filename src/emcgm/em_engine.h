@@ -7,7 +7,7 @@
 //   (a) read its context from disk (consecutive format),
 //   (b) read its incoming messages (message store),
 //   (c) run one round of the program,
-//   (d) write its generated messages (staggered matrix or chained layout),
+//   (d) write its generated messages (staggered chained extents),
 //   (e) write the changed context back.
 // With p > 1 (Algorithm 3), messages whose destination lives on another
 // real processor travel over a simulated network (byte-counted into

@@ -167,19 +167,6 @@ std::uint64_t greedy_batch(std::uint32_t D, std::span<const Slot> slots,
 
 }  // namespace
 
-std::uint64_t greedy_write(DiskArray& array,
-                           std::span<const WriteSlot> slots) {
-  return greedy_batch(array.num_disks(), slots, [&](auto span) {
-    array.parallel_write(span);
-  });
-}
-
-std::uint64_t greedy_read(DiskArray& array, std::span<const ReadSlot> slots) {
-  return greedy_batch(array.num_disks(), slots, [&](auto span) {
-    array.parallel_read(span);
-  });
-}
-
 IoTicket greedy_read_async(DiskArray& array, std::span<const ReadSlot> slots) {
   IoTicket last = 0;
   greedy_batch(array.num_disks(), slots, [&](auto span) {

@@ -140,8 +140,12 @@ void read_striped(DiskArray& array, TrackRegion& region, const Extent& e,
 IoTicket read_striped_async(DiskArray& array, TrackRegion& region,
                             const Extent& e, std::span<std::byte> out);
 
-/// Async variant of greedy_read: same batching, submitted without waiting.
-/// Returns the last ticket (0 when slots is empty or in serial mode).
+/// Order-free batched read: slots are grouped into parallel ops by pulling
+/// one pending block per disk per op (round-robin over per-disk queues).
+/// Achieves max_d(blocks on disk d) ops — optimal for any fixed assignment
+/// of blocks to disks. Used where slots come from scattered extents whose
+/// FIFO order would conflict needlessly. Submitted without waiting; returns
+/// the last ticket (0 when slots is empty or in serial mode).
 IoTicket greedy_read_async(DiskArray& array, std::span<const ReadSlot> slots);
 
 /// FIFO batched write, per the paper's DiskWrite procedure: slots are
@@ -152,15 +156,5 @@ std::uint64_t fifo_write(DiskArray& array, std::span<const WriteSlot> slots);
 
 /// FIFO batched read with the same discipline.
 std::uint64_t fifo_read(DiskArray& array, std::span<const ReadSlot> slots);
-
-/// Order-free batched write: slots are grouped into parallel ops by pulling
-/// one pending block per disk per op (round-robin over per-disk queues).
-/// Achieves max_d(blocks on disk d) ops — optimal for any fixed assignment
-/// of blocks to disks. Used where slots come from scattered extents whose
-/// FIFO order would conflict needlessly.
-std::uint64_t greedy_write(DiskArray& array, std::span<const WriteSlot> slots);
-
-/// Order-free batched read with the same grouping.
-std::uint64_t greedy_read(DiskArray& array, std::span<const ReadSlot> slots);
 
 }  // namespace emcgm::pdm

@@ -74,7 +74,6 @@ cgm::MachineConfig fuzz_style_config(std::uint32_t p) {
   cfg.p = p;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.checkpointing = true;
   cfg.checksums = true;
   cfg.seed = 7;

@@ -1,7 +1,7 @@
 // Engine-level properties: native/EM equivalence, context and message
-// stores, layout parallelism (Fig. 2), Observation 2 single-copy reuse,
-// Lemma 2 preconditions, the memory-residency check, and the headline
-// O(N/(pDB)) I/O linearity of the simulated sort.
+// stores, staggered message placement (Fig. 2, Lemma 3), the
+// memory-residency check, and the headline O(N/(pDB)) I/O linearity of the
+// simulated sort.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -85,17 +85,10 @@ TEST(ContextStore, StripedIoIsFullyParallel) {
 
 // ----------------------------------------------------------- MessageStore --
 
-class MessageStoreSuite : public ::testing::TestWithParam<cgm::MsgLayout> {};
-
-TEST_P(MessageStoreSuite, DeliversAcrossSupersteps) {
+TEST(MessageStore, DeliversAcrossSupersteps) {
   auto a = make_array(4, 64);
   pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 4;
-  cfg.local_base = 0;
-  cfg.nlocal = 4;
-  cfg.slot_bytes = 512;
-  auto store = em::make_message_store(GetParam(), a, space, cfg);
+  em::MessageStore store(a, space, 0, 4);
 
   std::vector<cgm::Message> batch;
   for (std::uint32_t s = 0; s < 4; ++s) {
@@ -103,10 +96,10 @@ TEST_P(MessageStoreSuite, DeliversAcrossSupersteps) {
       batch.push_back(cgm::Message{s, d, blob(30 + 40 * s + d, static_cast<std::uint8_t>(s * 4 + d))});
     }
   }
-  store->write_messages(batch);
-  store->flip();
+  store.write_messages(batch);
+  store.flip();
   for (std::uint32_t d = 0; d < 4; ++d) {
-    auto in = store->read_incoming(d);
+    auto in = store.read_incoming(d);
     ASSERT_EQ(in.size(), 4u);
     for (std::uint32_t s = 0; s < 4; ++s) {
       EXPECT_EQ(in[s].src, s);
@@ -115,47 +108,42 @@ TEST_P(MessageStoreSuite, DeliversAcrossSupersteps) {
   }
 }
 
-TEST_P(MessageStoreSuite, EmptyAndConsumedInboxes) {
+TEST(MessageStore, EmptyAndConsumedInboxes) {
   auto a = make_array(2, 64);
   pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 2;
-  cfg.nlocal = 2;
-  cfg.slot_bytes = 256;
-  auto store = em::make_message_store(GetParam(), a, space, cfg);
-  EXPECT_TRUE(store->read_incoming(0).empty());
+  em::MessageStore store(a, space, 0, 2);
+  EXPECT_TRUE(store.read_incoming(0).empty());
   std::vector<cgm::Message> batch{cgm::Message{0, 1, blob(20, 9)}};
-  store->write_messages(batch);
-  store->flip();
-  EXPECT_EQ(store->read_incoming(1).size(), 1u);
-  EXPECT_TRUE(store->read_incoming(1).empty());  // consumed
+  store.write_messages(batch);
+  store.flip();
+  EXPECT_EQ(store.read_incoming(1).size(), 1u);
+  EXPECT_TRUE(store.read_incoming(1).empty());  // consumed
 }
 
-TEST_P(MessageStoreSuite, RejectsNonLocalDestination) {
+TEST(MessageStore, RejectsNonLocalDestination) {
   auto a = make_array(2, 64);
   pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 4;
-  cfg.local_base = 2;
-  cfg.nlocal = 2;
-  cfg.slot_bytes = 256;
-  auto store = em::make_message_store(GetParam(), a, space, cfg);
+  em::MessageStore store(a, space, 2, 2);
   std::vector<cgm::Message> batch{cgm::Message{0, 0, blob(8, 1)}};
-  EXPECT_THROW(store->write_messages(batch), Error);
+  EXPECT_THROW(store.write_messages(batch), Error);
 }
 
 namespace {
 
-/// A one-block message from every source in [0, cfg.v) to every local
+/// The local destinations [local_base, local_base + nlocal) of a store.
+struct Group {
+  std::uint32_t v, local_base, nlocal;
+};
+
+/// A one-block message from every source in [0, g.v) to every local
 /// destination, as one src-sorted batch (a p > 1 arrival batch) or split
 /// into one outbox per source.
 std::vector<std::vector<cgm::Message>> one_block_all_to_all(
-    const em::MessageStoreConfig& cfg, std::size_t B, bool per_source) {
+    const Group& g, std::size_t B, bool per_source) {
   std::vector<std::vector<cgm::Message>> batches(1);
-  for (std::uint32_t s = 0; s < cfg.v; ++s) {
+  for (std::uint32_t s = 0; s < g.v; ++s) {
     if (per_source && s > 0) batches.emplace_back();
-    for (std::uint32_t d = cfg.local_base; d < cfg.local_base + cfg.nlocal;
-         ++d) {
+    for (std::uint32_t d = g.local_base; d < g.local_base + g.nlocal; ++d) {
       batches.back().push_back(
           cgm::Message{s, d, blob(B, static_cast<std::uint8_t>(s * 31 + d))});
     }
@@ -166,16 +154,14 @@ std::vector<std::vector<cgm::Message>> one_block_all_to_all(
 /// Read every local inbox; each must return its v messages in source
 /// order and cost ceil(v/D) parallel read ops (Lemma 3).
 void expect_inboxes_fully_parallel(em::MessageStore& store,
-                                   pdm::DiskArray& a,
-                                   const em::MessageStoreConfig& cfg) {
-  const std::uint64_t want = ceil_div(cfg.v, a.num_disks());
-  for (std::uint32_t d = cfg.local_base; d < cfg.local_base + cfg.nlocal;
-       ++d) {
+                                   pdm::DiskArray& a, const Group& g) {
+  const std::uint64_t want = ceil_div(g.v, a.num_disks());
+  for (std::uint32_t d = g.local_base; d < g.local_base + g.nlocal; ++d) {
     const std::uint64_t before = a.stats().read_ops;
     auto in = store.read_incoming(d);
     EXPECT_EQ(a.stats().read_ops - before, want) << "inbox " << d;
-    ASSERT_EQ(in.size(), cfg.v);
-    for (std::uint32_t s = 0; s < cfg.v; ++s) {
+    ASSERT_EQ(in.size(), g.v);
+    for (std::uint32_t s = 0; s < g.v; ++s) {
       EXPECT_EQ(in[s].src, s);
       EXPECT_EQ(in[s].payload,
                 blob(a.block_bytes(), static_cast<std::uint8_t>(s * 31 + d)));
@@ -185,55 +171,80 @@ void expect_inboxes_fully_parallel(em::MessageStore& store,
 
 }  // namespace
 
-TEST_P(MessageStoreSuite, OutboxInboxesReadInCeilVOverDOps) {
+TEST(MessageStore, OutboxInboxesReadInCeilVOverDOps) {
   // p = 1: every source writes its own outbox of one-block messages. The
   // caller's destination order would put (s, d) on disk d mod D for every
   // s; the stored layout must spread each inbox over all D disks.
   for (std::uint32_t v : {8u, 10u}) {
     auto a = make_array(4, 64);
     pdm::TrackSpace space;
-    em::MessageStoreConfig cfg;
-    cfg.v = v;
-    cfg.nlocal = v;
-    cfg.slot_bytes = 64;
-    auto store = em::make_message_store(GetParam(), a, space, cfg);
-    for (const auto& outbox : one_block_all_to_all(cfg, 64, true)) {
-      store->write_messages(outbox);
+    const Group g{v, 0, v};
+    em::MessageStore store(a, space, g.local_base, g.nlocal);
+    for (const auto& outbox : one_block_all_to_all(g, 64, true)) {
+      store.write_messages(outbox);
     }
-    store->flip();
+    store.flip();
     SCOPED_TRACE(v);
-    expect_inboxes_fully_parallel(*store, a, cfg);
+    expect_inboxes_fully_parallel(store, a, g);
   }
 }
 
-TEST_P(MessageStoreSuite, ArrivalBatchInboxesReadInCeilVOverDOps) {
+TEST(MessageStore, ArrivalBatchInboxesReadInCeilVOverDOps) {
   // p > 1: one src-sorted arrival batch carries every source's messages to
   // this group's nlocal < v destinations.
   for (std::uint32_t v : {8u, 10u}) {
     auto a = make_array(4, 64);
     pdm::TrackSpace space;
-    em::MessageStoreConfig cfg;
-    cfg.v = v;
-    cfg.local_base = v - 4;
-    cfg.nlocal = 4;
-    cfg.slot_bytes = 64;
-    auto store = em::make_message_store(GetParam(), a, space, cfg);
-    store->write_messages(one_block_all_to_all(cfg, 64, false).front());
-    store->flip();
+    const Group g{v, v - 4, 4};
+    em::MessageStore store(a, space, g.local_base, g.nlocal);
+    store.write_messages(one_block_all_to_all(g, 64, false).front());
+    store.flip();
     SCOPED_TRACE(v);
-    expect_inboxes_fully_parallel(*store, a, cfg);
+    expect_inboxes_fully_parallel(store, a, g);
   }
 }
 
-TEST_P(MessageStoreSuite, ReplayAfterMidSuperstepSavePlacesIdentically) {
+TEST(MessageStore, PlacementLimitHoldsAcrossDisksAndGroups) {
+  // The limit message_store.h states for one-block all-to-all traffic:
+  // every inbox reads in at most ceil(v/D) + 2 parallel ops, and in exactly
+  // ceil(v/D) at D = 2 and 4. Swept over D in 2..8, v <= 24 and every group
+  // size nlocal dividing v — per-source outboxes when nlocal = v (p = 1),
+  // one arrival batch per group otherwise (p = v / nlocal).
+  const std::size_t B = 64;
+  for (std::uint32_t D = 2; D <= 8; ++D) {
+    for (std::uint32_t v = 1; v <= 24; ++v) {
+      const std::uint64_t ideal = ceil_div(v, D);
+      const std::uint64_t bound = D == 2 || D == 4 ? ideal : ideal + 2;
+      for (std::uint32_t nlocal = 1; nlocal <= v; ++nlocal) {
+        if (v % nlocal != 0) continue;
+        for (std::uint32_t base = 0; base < v; base += nlocal) {
+          auto a = make_array(D, B);
+          pdm::TrackSpace space;
+          const Group g{v, base, nlocal};
+          em::MessageStore store(a, space, base, nlocal);
+          for (const auto& batch : one_block_all_to_all(g, B, nlocal == v)) {
+            store.write_messages(batch);
+          }
+          store.flip();
+          for (std::uint32_t d = base; d < base + nlocal; ++d) {
+            const std::uint64_t before = a.stats().read_ops;
+            ASSERT_EQ(store.read_incoming(d).size(), v);
+            const std::uint64_t ops = a.stats().read_ops - before;
+            ASSERT_LE(ops, bound) << "D=" << D << " v=" << v << " nlocal="
+                                  << nlocal << " inbox " << d;
+            ASSERT_GE(ops, ideal);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MessageStore, ReplayAfterMidSuperstepSavePlacesIdentically) {
   // Recovery restores a saved directory into a fresh store and replays the
   // rest of the superstep; the replay must place every message exactly as
   // the uninterrupted run did, or the directory and the disks disagree.
   const std::uint32_t v = 6;
-  em::MessageStoreConfig cfg;
-  cfg.v = v;
-  cfg.nlocal = v;
-  cfg.slot_bytes = 64 * 8;
   std::vector<std::vector<cgm::Message>> outboxes(v);
   for (std::uint32_t s = 0; s < v; ++s) {
     for (std::uint32_t d = 0; d < v; ++d) {
@@ -251,93 +262,29 @@ TEST_P(MessageStoreSuite, ReplayAfterMidSuperstepSavePlacesIdentically) {
 
   auto ua = make_array(4, 64);
   pdm::TrackSpace uspace;
-  auto uninterrupted = em::make_message_store(GetParam(), ua, uspace, cfg);
-  for (const auto& o : outboxes) uninterrupted->write_messages(o);
+  em::MessageStore uninterrupted(ua, uspace, 0, v);
+  for (const auto& o : outboxes) uninterrupted.write_messages(o);
 
   auto a = make_array(4, 64);
   pdm::TrackSpace first_space;
-  auto first = em::make_message_store(GetParam(), a, first_space, cfg);
+  auto first = std::make_unique<em::MessageStore>(a, first_space, 0, v);
   for (std::uint32_t s = 0; s < v / 2; ++s) first->write_messages(outboxes[s]);
   const auto snap = directory(*first);
   first.reset();
 
   pdm::TrackSpace replay_space;
-  auto replay = em::make_message_store(GetParam(), a, replay_space, cfg);
+  em::MessageStore replay(a, replay_space, 0, v);
   ReadArchive in(snap);
-  replay->load(in);
-  for (std::uint32_t s = v / 2; s < v; ++s) replay->write_messages(outboxes[s]);
-  EXPECT_EQ(directory(*replay), directory(*uninterrupted));
+  replay.load(in);
+  for (std::uint32_t s = v / 2; s < v; ++s) replay.write_messages(outboxes[s]);
+  EXPECT_EQ(directory(replay), directory(uninterrupted));
 
-  replay->flip();
+  replay.flip();
   for (std::uint32_t d = 0; d < v; ++d) {
-    auto in_msgs = replay->read_incoming(d);
+    auto in_msgs = replay.read_incoming(d);
     ASSERT_EQ(in_msgs.size(), v);
     for (std::uint32_t s = 0; s < v; ++s) {
       EXPECT_EQ(in_msgs[s].payload, outboxes[s][d].payload);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Layouts, MessageStoreSuite,
-                         ::testing::Values(cgm::MsgLayout::kStaggeredMatrix,
-                                           cgm::MsgLayout::kChained),
-                         [](const auto& info) {
-                           return info.param ==
-                                          cgm::MsgLayout::kStaggeredMatrix
-                                      ? "staggered"
-                                      : "chained";
-                         });
-
-TEST(MessageStore, StaggeredRejectsOversizedMessage) {
-  auto a = make_array(2, 64);
-  pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 2;
-  cfg.nlocal = 2;
-  cfg.slot_bytes = 100;
-  auto store = em::make_message_store(cgm::MsgLayout::kStaggeredMatrix, a,
-                                      space, cfg);
-  std::vector<cgm::Message> batch{cgm::Message{0, 1, blob(101, 2)}};
-  EXPECT_THROW(store->write_messages(batch), Error);
-}
-
-TEST(MessageStore, StaggeredWritesAreNearFullyParallel) {
-  // Fig. 2 property: a source's whole outbox (one slot-sized message per
-  // destination) lands in ceil(blocks/D) parallel writes because slot
-  // starts are staggered across the disks.
-  const std::uint32_t D = 4;
-  auto a = make_array(D, 64);
-  pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 8;
-  cfg.nlocal = 8;
-  cfg.slot_bytes = 3 * 64;  // 3 blocks per slot, coprime with D
-  auto store = em::make_message_store(cgm::MsgLayout::kStaggeredMatrix, a,
-                                      space, cfg);
-  // Every source's outbox (one slot-sized message per destination) must
-  // write fully parallel despite all its blocks living in different
-  // destination bands.
-  for (std::uint32_t s = 0; s < 8; ++s) {
-    std::vector<cgm::Message> batch;
-    for (std::uint32_t d = 0; d < 8; ++d) {
-      batch.push_back(
-          cgm::Message{s, d, blob(3 * 64, static_cast<std::uint8_t>(s * 8 + d))});
-    }
-    const auto before = a.stats().write_ops;
-    store->write_messages(batch);
-    EXPECT_EQ(a.stats().write_ops - before, 8 * 3 / D) << "src " << s;
-  }
-  EXPECT_EQ(a.stats().full_stripe_ops, a.stats().write_ops);
-  // Reading one destination's inbox (its whole band, v slots) is a
-  // consecutive run: ceil(v * b' / D) parallel ops.
-  store->flip();
-  for (std::uint32_t d = 0; d < 8; ++d) {
-    const auto before = a.stats().read_ops;
-    auto in = store->read_incoming(d);
-    ASSERT_EQ(in.size(), 8u);
-    EXPECT_EQ(a.stats().read_ops - before, 8 * 3 / D) << "dst " << d;
-    for (std::uint32_t s = 0; s < 8; ++s) {
-      EXPECT_EQ(in[s].payload, blob(3 * 64, static_cast<std::uint8_t>(s * 8 + d)));
     }
   }
 }
@@ -346,85 +293,16 @@ TEST(MessageStore, ChainedWritesAreFullyParallel) {
   const std::uint32_t D = 4;
   auto a = make_array(D, 64);
   pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 4;
-  cfg.nlocal = 4;
-  auto store =
-      em::make_message_store(cgm::MsgLayout::kChained, a, space, cfg);
+  em::MessageStore store(a, space, 0, 4);
   std::vector<cgm::Message> batch;
   for (std::uint32_t d = 0; d < 4; ++d) {
     batch.push_back(cgm::Message{1, d, blob(5 * 64, static_cast<std::uint8_t>(d))});
   }
-  store->write_messages(batch);
+  store.write_messages(batch);
   EXPECT_EQ(a.stats().write_ops, 5u);  // 20 blocks / 4 disks
 }
 
-TEST(MessageStore, SingleCopyMatrixReusesSpace) {
-  // Observation 2: with single_copy the matrix occupies one region's worth
-  // of tracks; double-buffered needs two. Compare high-water track usage
-  // after several supersteps of identical traffic.
-  auto run = [&](bool single_copy) {
-    auto a = make_array(2, 64);
-    pdm::TrackSpace space;
-    em::MessageStoreConfig cfg;
-    cfg.v = 4;
-    cfg.nlocal = 4;
-    cfg.slot_bytes = 2 * 64;
-    cfg.single_copy = single_copy;
-    auto store = em::make_message_store(cgm::MsgLayout::kStaggeredMatrix, a,
-                                        space, cfg);
-    for (int step = 0; step < 6; ++step) {
-      // Algorithm-2 order: each vproc reads its inbox, then writes its
-      // outbox.
-      for (std::uint32_t j = 0; j < 4; ++j) {
-        auto in = store->read_incoming(j);
-        if (step > 0) {
-          EXPECT_EQ(in.size(), 4u) << "step " << step;
-        }
-        std::vector<cgm::Message> outbox;
-        for (std::uint32_t d = 0; d < 4; ++d) {
-          outbox.push_back(
-              cgm::Message{j, d, blob(100, static_cast<std::uint8_t>(step * 16 + j * 4 + d))});
-        }
-        store->write_messages(outbox);
-      }
-      store->flip();
-    }
-    return space.high_water();
-  };
-  const auto single = run(true);
-  const auto dbl = run(false);
-  EXPECT_LT(single, dbl);
-  EXPECT_LE(single * 2, dbl + 2);  // within rounding of exactly half
-}
-
 // ------------------------------------------------------------ EmEngine --
-
-TEST(EmEngine, LemmaTwoPreconditionEnforced) {
-  cgm::MachineConfig cfg;
-  cfg.v = 8;
-  cfg.disk.block_bytes = 4096;
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
-  cfg.balanced_routing = true;  // derived slot requires the Lemma 2 floor
-  cgm::Machine m(cgm::EngineKind::kEm, cfg);
-  auto keys = random_keys(1, 64);  // far below v^2 * B
-  EXPECT_THROW(algo::sort_keys(m, keys), Error);
-}
-
-TEST(EmEngine, StaggeredWithoutBalancingNeedsExplicitSlot) {
-  cgm::MachineConfig cfg;
-  cfg.v = 4;
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
-  cfg.balanced_routing = false;
-  cgm::Machine m(cgm::EngineKind::kEm, cfg);
-  auto keys = random_keys(2, 4096);
-  EXPECT_THROW(algo::sort_keys(m, keys), Error);
-  cfg.staggered_slot_bytes = 1 << 16;
-  cgm::Machine m2(cgm::EngineKind::kEm, cfg);
-  auto expect = keys;
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(algo::sort_keys(m2, keys), expect);
-}
 
 TEST(EmEngine, MemoryLimitEnforced) {
   cgm::MachineConfig cfg;
@@ -603,37 +481,30 @@ TEST(Equivalence, SortAllConfigsAgree) {
   const auto want = algo::sort_keys(native, keys);
 
   for (bool balanced : {false, true}) {
-    for (auto layout :
-         {cgm::MsgLayout::kChained, cgm::MsgLayout::kStaggeredMatrix}) {
-      for (std::uint32_t p : {1u, 2u, 3u}) {
-        cgm::MachineConfig cfg = base;
-        cfg.p = p;
-        cfg.balanced_routing = balanced;
-        cfg.layout = layout;
-        if (layout == cgm::MsgLayout::kStaggeredMatrix) {
-          cfg.staggered_slot_bytes = 1 << 16;
-        }
-        // p > 1 configs also sweep the threaded driver; both modes must
-        // agree with the native engine and with each other on every counted
-        // I/O and communication total.
-        std::optional<pdm::IoStats> serial_io;
-        std::optional<std::uint64_t> serial_comm;
-        for (bool threads : {false, true}) {
-          if (threads && p == 1) continue;
-          cfg.use_threads = threads;
-          cgm::Machine m(cgm::EngineKind::kEm, cfg);
-          EXPECT_EQ(algo::sort_keys(m, keys), want)
-              << "balanced=" << balanced << " p=" << p
-              << " threads=" << threads;
-          if (!threads) {
-            serial_io = m.total().io;
-            serial_comm = m.total().comm.total_bytes();
-          } else {
-            EXPECT_EQ(m.total().io, *serial_io)
-                << "balanced=" << balanced << " p=" << p;
-            EXPECT_EQ(m.total().comm.total_bytes(), *serial_comm)
-                << "balanced=" << balanced << " p=" << p;
-          }
+    for (std::uint32_t p : {1u, 2u, 3u}) {
+      cgm::MachineConfig cfg = base;
+      cfg.p = p;
+      cfg.balanced_routing = balanced;
+      // p > 1 configs also sweep threaded hosts; both modes must agree with
+      // the native engine and with each other on every counted I/O and
+      // communication total.
+      std::optional<pdm::IoStats> serial_io;
+      std::optional<std::uint64_t> serial_comm;
+      for (bool threads : {false, true}) {
+        if (threads && p == 1) continue;
+        cfg.use_threads = threads;
+        cgm::Machine m(cgm::EngineKind::kEm, cfg);
+        EXPECT_EQ(algo::sort_keys(m, keys), want)
+            << "balanced=" << balanced << " p=" << p
+            << " threads=" << threads;
+        if (!threads) {
+          serial_io = m.total().io;
+          serial_comm = m.total().comm.total_bytes();
+        } else {
+          EXPECT_EQ(m.total().io, *serial_io)
+              << "balanced=" << balanced << " p=" << p;
+          EXPECT_EQ(m.total().comm.total_bytes(), *serial_comm)
+              << "balanced=" << balanced << " p=" << p;
         }
       }
     }
@@ -658,16 +529,4 @@ TEST(EmEngine, PerSuperstepIoTraceSumsToTotal) {
     if (s.total_ops() > 0) ++nonzero;
   }
   EXPECT_GE(nonzero, res.app_rounds);
-}
-
-TEST(Equivalence, SingleCopyMatrixAgrees) {
-  auto keys = random_keys(13, 4096);
-  cgm::MachineConfig cfg;
-  cfg.v = 4;
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
-  cfg.staggered_slot_bytes = 1 << 16;
-  cgm::Machine dbl(cgm::EngineKind::kEm, cfg);
-  cfg.single_copy_matrix = true;
-  cgm::Machine single(cgm::EngineKind::kEm, cfg);
-  EXPECT_EQ(algo::sort_keys(dbl, keys), algo::sort_keys(single, keys));
 }

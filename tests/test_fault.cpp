@@ -12,6 +12,7 @@
 #include "algo/sort.h"
 #include "scoped_temp_dir.h"
 #include "emcgm/em_engine.h"
+#include "obs/metrics.h"
 #include "pdm/checksum.h"
 #include "pdm/disk_array.h"
 #include "pdm/fault.h"
@@ -306,7 +307,6 @@ cgm::MachineConfig ckpt_cfg() {
   cfg.p = 1;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.checkpointing = true;
   cfg.checksums = true;
   cfg.seed = 7;
@@ -473,22 +473,29 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(b) + "T" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(Checkpoint, ResumeWithBalancedRoutingAndStaggeredMatrix) {
+TEST(Checkpoint, ResumeWithBalancedRoutingCrashInRegroupStep) {
   auto cfg = ckpt_cfg();
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
   cfg.balanced_routing = true;
-  const auto keys = sort_keys_input(2000);  // satisfies the Lemma 2 floor
+  const auto keys = sort_keys_input(2000);
   algo::SampleSortProgram<std::uint64_t> prog;
 
-  em::EmEngine ref(cfg);
+  // The traced reference labels every physical superstep; tracing moves no
+  // counted op, so its per-step I/O locates the crash point exactly.
+  auto ref_cfg = cfg;
+  ref_cfg.obs.trace = true;
+  em::EmEngine ref(ref_cfg);
   const auto expected = ref.run(prog, keyed_inputs(4, keys));
 
   // Crash inside an intermediate regroup superstep (balanced routing doubles
-  // the physical supersteps, so pick a point past the first app round).
-  std::uint64_t cum = 0;
-  const auto& steps = ref.last_result().io_per_step;
+  // the physical supersteps, so pick a point past the first app round):
+  // the regroup step only touches the message store, so replay re-reads
+  // inboxes a half-finished regroup already consumed.
+  const auto& steps = ref.metrics()->steps();
+  ASSERT_EQ(steps.size(), ref.last_result().io_per_step.size());
   ASSERT_GE(steps.size(), 4u);
-  for (std::size_t i = 0; i < 3; ++i) cum += steps[i].total_ops();
+  ASSERT_STREQ(steps[3].phase, "regroup");
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < 3; ++i) cum += steps[i].io.total_ops();
 
   auto crash_cfg = cfg;
   crash_cfg.fault.crash_after_ops = cum + 1;
@@ -604,14 +611,6 @@ TEST(Checkpoint, RejectsResumeWithoutCheckpointing)
   em::EmEngine e(cfg);
   algo::SampleSortProgram<std::uint64_t> prog;
   EXPECT_THROW(e.resume(prog), Error);
-}
-
-TEST(Checkpoint, SingleCopyMatrixIncompatibleWithCheckpointing) {
-  auto cfg = ckpt_cfg();
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
-  cfg.balanced_routing = true;
-  cfg.single_copy_matrix = true;
-  EXPECT_THROW(cfg.validate(), Error);
 }
 
 // ----------------------------------------------- membership (rejoin) sweep --

@@ -1,8 +1,8 @@
 // Randomized-traffic fuzz: a program that sends pseudo-random message
 // patterns (sizes, sparsity, self-sends, growing state) for several rounds
 // must produce byte-identical results on the native engine and on every EM
-// engine configuration. This exercises the context store, both message
-// layouts, balanced routing, and multi-processor delivery far from the
+// engine configuration. This exercises the context store, the message
+// store, balanced routing, and multi-processor delivery far from the
 // structured patterns of the real algorithms.
 #include <gtest/gtest.h>
 
@@ -123,37 +123,14 @@ TEST_P(FuzzSuite, AllEngineConfigsAgree) {
   const auto want = run_fuzz(cgm::EngineKind::kNative, base, seed);
 
   for (bool balanced : {false, true}) {
-    for (auto layout :
-         {cgm::MsgLayout::kChained, cgm::MsgLayout::kStaggeredMatrix}) {
-      for (std::uint32_t p : {1u, 2u, 3u}) {
-        cgm::MachineConfig cfg = base;
-        cfg.p = p;
-        cfg.balanced_routing = balanced;
-        cfg.layout = layout;
-        if (layout == cgm::MsgLayout::kStaggeredMatrix) {
-          cfg.staggered_slot_bytes = 1 << 17;
-        }
-        EXPECT_EQ(run_fuzz(cgm::EngineKind::kEm, cfg, seed), want)
-            << "seed=" << seed << " balanced=" << balanced << " p=" << p
-            << " staggered="
-            << (layout == cgm::MsgLayout::kStaggeredMatrix);
-      }
+    for (std::uint32_t p : {1u, 2u, 3u}) {
+      cgm::MachineConfig cfg = base;
+      cfg.p = p;
+      cfg.balanced_routing = balanced;
+      EXPECT_EQ(run_fuzz(cgm::EngineKind::kEm, cfg, seed), want)
+          << "seed=" << seed << " balanced=" << balanced << " p=" << p;
     }
   }
-}
-
-TEST_P(FuzzSuite, SingleCopyMatrixAgrees) {
-  const std::uint64_t seed = GetParam();
-  cgm::MachineConfig cfg;
-  cfg.v = 5;
-  cfg.disk.num_disks = 2;
-  cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
-  cfg.staggered_slot_bytes = 1 << 17;
-
-  const auto want = run_fuzz(cgm::EngineKind::kNative, cfg, seed);
-  cfg.single_copy_matrix = true;
-  EXPECT_EQ(run_fuzz(cgm::EngineKind::kEm, cfg, seed), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSuite,

@@ -1,5 +1,5 @@
 // Geometry algorithms versus brute-force references, across machine
-// configurations (engine kind, v, p, balancing, layout).
+// configurations (engine kind, v, p, balancing).
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -197,18 +197,19 @@ TEST_P(BackendSuite, FifoWriteCutsOnConflict) {
 
 TEST_P(BackendSuite, GreedyBatchingReachesPerDiskOptimum) {
   auto a = make(4, 64);
-  auto d = pattern(64, 8);
   // 5 blocks on disk 2, 1 on each other: optimum = 5 ops; FIFO in this
   // adversarial order would also produce 5 here, but greedy is provably
   // max_d(count) for any order.
-  std::vector<WriteSlot> slots;
+  std::vector<std::vector<std::byte>> bufs(8, std::vector<std::byte>(64));
+  std::vector<ReadSlot> slots;
   for (std::uint64_t t = 0; t < 5; ++t) {
-    slots.push_back(WriteSlot{BlockAddr{2, t}, d});
+    slots.push_back(ReadSlot{BlockAddr{2, t}, bufs[t]});
   }
-  slots.push_back(WriteSlot{BlockAddr{0, 0}, d});
-  slots.push_back(WriteSlot{BlockAddr{1, 0}, d});
-  slots.push_back(WriteSlot{BlockAddr{3, 0}, d});
-  EXPECT_EQ(greedy_write(*a, slots), 5u);
+  slots.push_back(ReadSlot{BlockAddr{0, 0}, bufs[5]});
+  slots.push_back(ReadSlot{BlockAddr{1, 0}, bufs[6]});
+  slots.push_back(ReadSlot{BlockAddr{3, 0}, bufs[7]});
+  a->wait(greedy_read_async(*a, slots));
+  EXPECT_EQ(a->stats().read_ops, 5u);
 }
 
 TEST(Striping, ConsecutiveExtentsContinueTheStripe) {

@@ -297,15 +297,14 @@ void expect_same(const EngineDigest& a, const EngineDigest& b,
 }  // namespace
 
 TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsChained) {
-  // Chained layout with probabilistic transient faults + checksums: the
-  // engine's prefetch/write-behind pipeline (contexts and both message
-  // stores) must not move a single counted op or fault.
+  // Probabilistic transient faults + checksums: the engine's
+  // prefetch/write-behind pipeline (context and message stores) must not
+  // move a single counted op or fault.
   cgm::MachineConfig cfg;
   cfg.v = 4;
   cfg.p = 1;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.checksums = true;
   cfg.retry.max_attempts = 32;
   cfg.fault.seed = 5;
@@ -314,26 +313,6 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsChained) {
   cfg.seed = 7;
   const auto serial = run_engine(cfg, 0);
   EXPECT_GT(serial.io.retries, 0u);
-  for (std::uint32_t T : {2u, 4u}) {
-    expect_same(serial, run_engine(cfg, T),
-                ("io_threads=" + std::to_string(T)).c_str());
-  }
-}
-
-TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsSingleCopyMatrix) {
-  // Observation-2 single-copy staggered matrix: vproc j's outgoing slots
-  // reuse the very blocks its inbox freed, so this is the layout where a
-  // wrong prefetch/write overlap would corrupt data rather than just stats.
-  cgm::MachineConfig cfg;
-  cfg.v = 4;
-  cfg.p = 1;
-  cfg.disk.num_disks = 4;
-  cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
-  cfg.balanced_routing = true;
-  cfg.single_copy_matrix = true;
-  cfg.seed = 7;
-  const auto serial = run_engine(cfg, 0);
   for (std::uint32_t T : {2u, 4u}) {
     expect_same(serial, run_engine(cfg, T),
                 ("io_threads=" + std::to_string(T)).c_str());
@@ -349,7 +328,6 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsFileBackend) {
   cfg.p = 1;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.checksums = true;
   cfg.backend = pdm::BackendKind::kFile;
   cfg.seed = 7;
@@ -374,7 +352,6 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsMultiProcThreads) {
   cfg.p = 2;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.use_threads = true;
   cfg.seed = 7;
   const auto serial = run_engine(cfg, 0);
@@ -394,7 +371,6 @@ TEST(PdmAsync, PrefetchDepthInvisibleOnOutputsAndStats) {
   cfg.p = 1;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.checksums = true;
   cfg.seed = 7;
   cfg.prefetch_depth = 1;
@@ -414,7 +390,6 @@ TEST(PdmAsync, PrefetchDepthBoundedByMemoryBudget) {
   cfg.p = 1;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.seed = 7;
   cfg.prefetch_depth = 1;
   const auto ref = run_engine(cfg, 2);
@@ -437,7 +412,6 @@ TEST(PdmAsync, PrefetchDepthInvisibleUnderThreadsAndFaults) {
   cfg.p = 2;
   cfg.disk.num_disks = 4;
   cfg.disk.block_bytes = 128;
-  cfg.layout = cgm::MsgLayout::kChained;
   cfg.checksums = true;
   cfg.use_threads = true;
   cfg.retry.max_attempts = 32;

@@ -46,8 +46,6 @@ TEST(Smoke, SortEm) {
 TEST(Smoke, SortEmMultiProcBalancedStaggered) {
   auto cfg = base_cfg(8, 2);
   cfg.balanced_routing = true;
-  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
-  cfg.staggered_slot_bytes = 1 << 16;
   cgm::Machine m(cgm::EngineKind::kEm, cfg);
   auto keys = random_keys(44, 5000);
   auto expect = keys;
