@@ -1,7 +1,7 @@
 // In-memory CGM machine: all v virtual processors and all messages live in
 // RAM. This is the conventional-parallel comparator of the paper's Fig. 3a
 // and the reference implementation that the EM engine must match
-// byte-for-byte (test suite invariant 4).
+// byte-for-byte (test suite invariant 5).
 #pragma once
 
 #include <memory>

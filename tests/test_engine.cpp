@@ -151,6 +151,13 @@ std::vector<std::vector<cgm::Message>> one_block_all_to_all(
   return batches;
 }
 
+/// A store's saved directory.
+std::vector<std::byte> directory(const em::MessageStore& store) {
+  WriteArchive ar;
+  store.save(ar);
+  return ar.take();
+}
+
 /// Read every local inbox; each must return its v messages in source
 /// order and cost ceil(v/D) parallel read ops (Lemma 3).
 void expect_inboxes_fully_parallel(em::MessageStore& store,
@@ -244,6 +251,9 @@ TEST(MessageStore, ReplayAfterMidSuperstepSavePlacesIdentically) {
   // Recovery restores a saved directory into a fresh store and replays the
   // rest of the superstep; the replay must place every message exactly as
   // the uninterrupted run did, or the directory and the disks disagree.
+  // Every pair carries one message of up to 8 blocks and one of at most
+  // B/2 bytes, so each source's blob is shared by packed entries whose
+  // reader counts the restored store must rebuild.
   const std::uint32_t v = 6;
   std::vector<std::vector<cgm::Message>> outboxes(v);
   for (std::uint32_t s = 0; s < v; ++s) {
@@ -252,12 +262,22 @@ TEST(MessageStore, ReplayAfterMidSuperstepSavePlacesIdentically) {
           s, d,
           blob(1 + (37 * s + 53 * d) % (64 * 8),
                static_cast<std::uint8_t>(s * 7 + d))});
+      outboxes[s].push_back(cgm::Message{
+          s, d,
+          blob(1 + (5 * s + 3 * d) % 32,
+               static_cast<std::uint8_t>(s * 11 + d))});
     }
   }
-  auto directory = [](const em::MessageStore& store) {
-    WriteArchive ar;
-    store.save(ar);
-    return ar.take();
+  auto expect_inboxes = [&](em::MessageStore& store) {
+    for (std::uint32_t d = 0; d < v; ++d) {
+      auto in_msgs = store.read_incoming(d);
+      ASSERT_EQ(in_msgs.size(), 2 * v);
+      for (std::uint32_t s = 0; s < v; ++s) {
+        EXPECT_EQ(in_msgs[2 * s].payload, outboxes[s][2 * d].payload);
+        EXPECT_EQ(in_msgs[2 * s + 1].payload, outboxes[s][2 * d + 1].payload);
+      }
+    }
+    EXPECT_EQ(store.shared_blocks_live(), 0u);
   };
 
   auto ua = make_array(4, 64);
@@ -279,12 +299,197 @@ TEST(MessageStore, ReplayAfterMidSuperstepSavePlacesIdentically) {
   for (std::uint32_t s = v / 2; s < v; ++s) replay.write_messages(outboxes[s]);
   EXPECT_EQ(directory(replay), directory(uninterrupted));
 
+  // Replaying the read side: a superstep that consumed half the inboxes
+  // (and buffered their shared blocks) restarts from the boundary record.
   replay.flip();
-  for (std::uint32_t d = 0; d < v; ++d) {
-    auto in_msgs = replay.read_incoming(d);
-    ASSERT_EQ(in_msgs.size(), v);
+  const auto boundary = directory(replay);
+  for (std::uint32_t d = 0; d < v / 2; ++d) replay.read_incoming(d);
+  ReadArchive at_boundary(boundary);
+  replay.load(at_boundary);
+  const std::uint64_t before = a.stats().blocks_read;
+  expect_inboxes(replay);
+  uninterrupted.flip();
+  const std::uint64_t ubefore = ua.stats().blocks_read;
+  expect_inboxes(uninterrupted);
+  EXPECT_EQ(a.stats().blocks_read - before, ua.stats().blocks_read - ubefore);
+}
+
+TEST(MessageStore, PackedRoundTripIsByteExact) {
+  // Sizes around the packing threshold B/2: empty messages are not stored,
+  // 1..B/2 bytes pack into the source's blob (with 90 packed bytes per
+  // source, some message straddles a block boundary), B/2 + 1 and up keep
+  // aligned extents. Nine messages over four destinations repeat (src,
+  // dst) pairs, which must arrive in program order whichever path each
+  // message took.
+  const std::size_t B = 64;
+  const std::uint32_t v = 4;
+  const std::vector<std::size_t> sizes = {0,  1,         B / 2, B / 2 + 1, 20,
+                                          30, 3 * B + 5, 7,     B};
+  auto a = make_array(4, B);
+  pdm::TrackSpace space;
+  em::MessageStore store(a, space, 0, v);
+  for (std::uint32_t step = 0; step < 2; ++step) {
+    std::vector<std::vector<std::vector<std::byte>>> want(v);  // [dst]
+    std::uint64_t want_blocks = 0;
+    const std::uint64_t written_before = a.stats().blocks_written;
     for (std::uint32_t s = 0; s < v; ++s) {
-      EXPECT_EQ(in_msgs[s].payload, outboxes[s][d].payload);
+      std::vector<cgm::Message> outbox;
+      std::uint64_t packed = 0;
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const std::uint32_t d = (s + static_cast<std::uint32_t>(i)) % v;
+        outbox.push_back(cgm::Message{
+            s, d,
+            blob(sizes[i], static_cast<std::uint8_t>(step * 97 + s * 13 + i))});
+        if (sizes[i] == 0) continue;
+        want[d].push_back(outbox.back().payload);
+        if (2 * sizes[i] <= B) {
+          packed += sizes[i];
+        } else {
+          want_blocks += ceil_div(sizes[i], B);
+        }
+      }
+      want_blocks += ceil_div(packed, B);
+      store.write_messages(outbox);
+    }
+    EXPECT_EQ(a.stats().blocks_written - written_before, want_blocks);
+    store.flip();
+    for (std::uint32_t d = 0; d < v; ++d) {
+      const auto in = store.read_incoming(d);
+      ASSERT_EQ(in.size(), want[d].size()) << "inbox " << d;
+      for (std::size_t k = 0; k < in.size(); ++k) {
+        EXPECT_EQ(in[k].dst, d);
+        EXPECT_EQ(in[k].payload, want[d][k]) << "inbox " << d << " #" << k;
+      }
+    }
+    EXPECT_EQ(store.shared_blocks_live(), 0u);
+  }
+}
+
+TEST(MessageStore, PackedBlocksAreReadOncePerSuperstep) {
+  // v = 16 per-source outboxes (p = 1) of quarter-block messages at D = 4:
+  // each source's blob is one full stripe. Every packed block is read
+  // exactly once per superstep and each inbox in at most ceil(v/D) ops —
+  // the rotated blob order starts each source's share of an inbox on a
+  // different disk, where an ascending order would put all sixteen on one.
+  const std::uint32_t v = 16, D = 4;
+  const std::size_t B = 64;
+  auto a = make_array(D, B);
+  pdm::TrackSpace space;
+  em::MessageStore store(a, space, 0, v);
+  for (std::uint32_t step = 0; step < 2; ++step) {
+    const pdm::IoStats start = a.stats();
+    for (std::uint32_t s = 0; s < v; ++s) {
+      std::vector<cgm::Message> outbox;
+      for (std::uint32_t d = 0; d < v; ++d) {
+        outbox.push_back(cgm::Message{
+            s, d, blob(B / 4, static_cast<std::uint8_t>(step + s * 31 + d))});
+      }
+      store.write_messages(outbox);
+    }
+    const std::uint64_t written =
+        a.stats().blocks_written - start.blocks_written;
+    EXPECT_EQ(written, v * v / 4);
+    store.flip();
+    for (std::uint32_t d = 0; d < v; ++d) {
+      const std::uint64_t before = a.stats().read_ops;
+      const auto in = store.read_incoming(d);
+      EXPECT_LE(a.stats().read_ops - before, ceil_div(v, D)) << "inbox " << d;
+      ASSERT_EQ(in.size(), v);
+      for (std::uint32_t s = 0; s < v; ++s) {
+        EXPECT_EQ(in[s].payload,
+                  blob(B / 4, static_cast<std::uint8_t>(step + s * 31 + d)));
+      }
+      EXPECT_LE(store.shared_blocks_live(), 2 * v);
+    }
+    EXPECT_EQ(a.stats().blocks_read - start.blocks_read, written);
+    EXPECT_EQ(store.shared_blocks_live(), 0u);
+  }
+}
+
+TEST(MessageStore, AscendingReadsKeepTwoSharedBlocksPerSource) {
+  // One source's blob, read back inbox by inbox in ascending local order:
+  // the read and unread messages meet at no more than two points of the
+  // rotated blob, so at most two of its blocks are buffered at once.
+  const std::uint32_t v = 16;
+  const std::size_t B = 64;
+  for (std::uint32_t s = 0; s < v; ++s) {
+    auto a = make_array(4, B);
+    pdm::TrackSpace space;
+    em::MessageStore store(a, space, 0, v);
+    std::vector<cgm::Message> outbox;
+    for (std::uint32_t d = 0; d < v; ++d) {
+      outbox.push_back(cgm::Message{
+          s, d, blob(1 + (s * 7 + d * 5) % 32, static_cast<std::uint8_t>(d))});
+    }
+    store.write_messages(outbox);
+    store.flip();
+    std::size_t peak = 0;
+    for (std::uint32_t d = 0; d < v; ++d) {
+      const auto in = store.read_incoming(d);
+      ASSERT_EQ(in.size(), 1u);
+      EXPECT_EQ(in[0].payload, outbox[d].payload);
+      peak = std::max(peak, store.shared_blocks_live());
+    }
+    EXPECT_LE(peak, 2u) << "source " << s;
+    EXPECT_EQ(store.shared_blocks_live(), 0u);
+    EXPECT_EQ(a.stats().blocks_read, a.stats().blocks_written);
+  }
+}
+
+TEST(MessageStore, AsyncPrefetchMatchesSerialStoreAndStats) {
+  // The engine's overlap pattern — read one inbox, then prefetch the next
+  // two — with the shared blocks arriving on executor threads. Directory,
+  // payloads and every counter must equal the serial store's, including a
+  // superstep that ends with a prefetched inbox left unread.
+  const std::uint32_t v = 12;
+  struct Result {
+    std::vector<std::vector<std::byte>> directories;
+    std::vector<std::vector<cgm::Message>> inboxes;
+    pdm::IoStats io;
+  };
+  auto run = [&](std::uint32_t io_threads) {
+    pdm::DiskArrayOptions opts;
+    opts.io_threads = io_threads;
+    pdm::DiskArray a(
+        std::make_unique<pdm::MemoryBackend>(pdm::DiskGeometry{4, 64}), opts);
+    pdm::TrackSpace space;
+    em::MessageStore store(a, space, 0, v);
+    Result r;
+    for (std::uint32_t step = 0; step < 3; ++step) {
+      for (std::uint32_t s = 0; s < v; ++s) {
+        std::vector<cgm::Message> outbox;
+        for (std::uint32_t d = 0; d < v; ++d) {
+          outbox.push_back(cgm::Message{
+              s, d,
+              blob((s * 11 + d * 7 + step * 5) % 80,
+                   static_cast<std::uint8_t>(step * 3 + s * 5 + d))});
+        }
+        store.write_messages(outbox);
+      }
+      r.directories.push_back(directory(store));
+      store.flip();
+      const std::uint32_t last = step == 1 ? v - 1 : v;
+      for (std::uint32_t d = 0; d < last; ++d) {
+        r.inboxes.push_back(store.read_incoming(d));
+        for (std::uint32_t k = d + 1; k <= d + 2 && k < v; ++k) {
+          store.prefetch_incoming(k);
+        }
+      }
+    }
+    a.drain();
+    r.io = a.stats();
+    return r;
+  };
+  const Result serial = run(0);
+  const Result async = run(4);
+  EXPECT_EQ(async.directories, serial.directories);
+  EXPECT_EQ(async.io, serial.io);
+  ASSERT_EQ(async.inboxes.size(), serial.inboxes.size());
+  for (std::size_t i = 0; i < serial.inboxes.size(); ++i) {
+    ASSERT_EQ(async.inboxes[i].size(), serial.inboxes[i].size());
+    for (std::size_t k = 0; k < serial.inboxes[i].size(); ++k) {
+      EXPECT_EQ(async.inboxes[i][k].src, serial.inboxes[i][k].src);
+      EXPECT_EQ(async.inboxes[i][k].payload, serial.inboxes[i][k].payload);
     }
   }
 }
@@ -428,7 +633,7 @@ TEST(EmEngine, MultiProcessorSplitsIoAcrossRealProcs) {
 // --------------------------------------------------- headline I/O property --
 
 TEST(IoComplexity, SortOpsLinearInN) {
-  // Invariant 5 of DESIGN.md: measured parallel I/O ops / (N/(DB)) bounded
+  // Invariant 6 of DESIGN.md: measured parallel I/O ops / (N/(DB)) bounded
   // by a constant across an N sweep — the log factor is gone.
   const std::uint32_t D = 4;
   const std::size_t B = 1024;

@@ -488,8 +488,11 @@ TEST(NetGolden, DirectScheduleWireIsPinnedUnderLossAndMembershipChurn) {
   // fail-over at step 3, the victim's rejoin at step 6 — so any change to
   // the direct wire layout, its round structure or its fault-coin use shows
   // up here as a moved counter. Serial and threaded hosts must agree.
-  // read_ops is the one disk figure the message store's placement moves:
-  // the chained store staggers each inbox across the disks.
+  // The disk figures follow the message store: inboxes are staggered
+  // across the disks, messages of at most B/2 bytes are packed into one
+  // blob per source, and a shared block is read once per superstep. The
+  // directory record carries each entry's offset and length inside its
+  // extent, so the two store-group migrations ship 64 more bytes.
   const auto keys = random_keys(2718, 3000);
   algo::SampleSortProgram<std::uint64_t> prog;
   auto ref_cfg = net_cfg(8, 4);
@@ -516,24 +519,24 @@ TEST(NetGolden, DirectScheduleWireIsPinnedUnderLossAndMembershipChurn) {
     EXPECT_EQ(r.failovers, 1u);
     EXPECT_EQ(r.rejoins, 1u);
     EXPECT_EQ(r.comm.total_bytes(), 25936u);
-    EXPECT_EQ(r.io.read_ops, 301u);
-    EXPECT_EQ(r.io.write_ops, 301u);
-    EXPECT_EQ(r.io.blocks_read, 558u);
-    EXPECT_EQ(r.io.blocks_written, 553u);
+    EXPECT_EQ(r.io.read_ops, 281u);
+    EXPECT_EQ(r.io.write_ops, 285u);
+    EXPECT_EQ(r.io.blocks_read, 522u);
+    EXPECT_EQ(r.io.blocks_written, 518u);
     const net::NetStats& s = r.net;
     EXPECT_EQ(s.data_sent, 134u);
     EXPECT_EQ(s.retransmissions, 94u);
     EXPECT_EQ(s.acks_sent, 38u);
     EXPECT_EQ(s.heartbeats_sent, 66u);
-    EXPECT_EQ(s.wire_bytes, 51738u);
-    EXPECT_EQ(s.crossing_wire_bytes, 51738u);
+    EXPECT_EQ(s.wire_bytes, 51802u);
+    EXPECT_EQ(s.crossing_wire_bytes, 51802u);
     EXPECT_EQ(s.dropped, 104u);
     EXPECT_EQ(s.duplicated, 5u);
     EXPECT_EQ(s.corrupted, 3u);
     EXPECT_EQ(s.reordered, 4u);
     EXPECT_EQ(s.delayed, 4u);
     EXPECT_EQ(s.delivered_messages, 34u);
-    EXPECT_EQ(s.delivered_payload_bytes, 29082u);
+    EXPECT_EQ(s.delivered_payload_bytes, 29146u);
     EXPECT_EQ(s.duplicates_discarded, 4u);
     EXPECT_EQ(s.corrupt_discarded, 3u);
     EXPECT_EQ(s.out_of_order_buffered, 0u);
@@ -542,7 +545,7 @@ TEST(NetGolden, DirectScheduleWireIsPinnedUnderLossAndMembershipChurn) {
     EXPECT_EQ(s.rejoin_acks, 3u);
     EXPECT_EQ(s.rejoins, 1u);
     EXPECT_EQ(s.rebalance_migrations, 2u);
-    EXPECT_EQ(s.migration_bytes, 318u);
+    EXPECT_EQ(s.migration_bytes, 382u);
   }
 }
 
@@ -675,7 +678,9 @@ TEST(NetFailover, DiskCrashBetweenBoundariesIsAdopted) {
         EXPECT_TRUE(same_outputs(expected, got))
             << "K=" << K << " threads=" << threads;
         fired += e.last_result().failovers;
-        if (e.last_result().failovers > 0) EXPECT_FALSE(e.alive(1));
+        if (e.last_result().failovers > 0) {
+          EXPECT_FALSE(e.alive(1));
+        }
       } catch (const IoError& err) {
         // Only a death before the first commit may escape: no consistent
         // state exists yet, so fail-over has nothing to restart from.

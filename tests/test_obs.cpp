@@ -283,7 +283,9 @@ TEST(Obs, SpanNestingMatchesSuperstepStructure) {
       case obs::SpanKind::kContextWrite:
         // Per-vproc phases nest inside their group_step span (except the
         // initial context scatter, which runs before any group span).
-        if (s.vproc >= 0) EXPECT_GE(s.depth, 1u) << "kind " << int(s.kind);
+        if (s.vproc >= 0) {
+          EXPECT_GE(s.depth, 1u) << "kind " << int(s.kind);
+        }
         break;
       default:
         break;
@@ -333,7 +335,9 @@ TEST(Obs, MetricsReconcileWithRunResult) {
     const double want =
         pdm::DiskCostModel{}.io_seconds(row.io, 512);
     EXPECT_DOUBLE_EQ(row.model_io_s, want) << "step " << i;
-    if (row.io.total_ops() > 0) EXPECT_GT(row.model_io_s, 0.0);
+    if (row.io.total_ops() > 0) {
+      EXPECT_GT(row.model_io_s, 0.0);
+    }
   }
   // Wire activity attributed per step sums to the run total.
   net::NetStats net_sum;
