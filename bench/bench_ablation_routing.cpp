@@ -114,9 +114,8 @@ bool same_outputs(const std::vector<cgm::PartitionSet>& a,
 SchedProbe run_schedule(routing::ScheduleKind kind,
                         const std::vector<std::string>& roots,
                         const std::vector<std::uint64_t>& keys) {
-  for (const char* r : {"/tmp/emcgm_bench_sched_hostA",
-                        "/tmp/emcgm_bench_sched_hostB"}) {
-    std::filesystem::remove_all(r);
+  for (const char* r : {"sched_hostA", "sched_hostB"}) {
+    std::filesystem::remove_all(scratch_dir(r));
   }
   const std::uint32_t v = 8;
   cgm::MachineConfig cfg = standard_config(v, 4, 2, 512);
@@ -185,8 +184,8 @@ int main(int argc, char** argv) {
       " machine and p2,p3 on the other. Same delivered payload for every"
       " schedule; aggregation moves wire bytes off the crossing links.\n\n");
   const std::vector<std::string> roots = {
-      "/tmp/emcgm_bench_sched_hostA/p0", "/tmp/emcgm_bench_sched_hostA/p1",
-      "/tmp/emcgm_bench_sched_hostB/p2", "/tmp/emcgm_bench_sched_hostB/p3"};
+      scratch_dir("sched_hostA/p0"), scratch_dir("sched_hostA/p1"),
+      scratch_dir("sched_hostB/p2"), scratch_dir("sched_hostB/p3")};
   const auto sort_keys = random_keys(8441, 2500);
 
   Table st({"schedule", "delivered payload", "wire bytes", "crossing bytes",
@@ -220,10 +219,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(direct.crossing));
       gate_ok = false;
     }
-  }
-  for (const char* r : {"/tmp/emcgm_bench_sched_hostA",
-                        "/tmp/emcgm_bench_sched_hostB"}) {
-    std::filesystem::remove_all(r);
   }
   st.print();
   std::printf(

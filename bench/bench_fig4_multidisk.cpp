@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
   Table od({"D (disks)", "parallel I/Os", "serial wall (s)", "async wall (s)",
             "async speedup", "ideal"});
   for (std::uint32_t D : {1u, 2u, 4u, 8u}) {
-    const std::string dir =
-        "/tmp/emcgm_bench_fig4/D" + std::to_string(D);
+    const std::string dir = scratch_dir("fig4/D" + std::to_string(D));
     const OverlapRun serial = overlap_workload(
         D, B, 0, pdm::BackendKind::kFile, dir + "_serial", cost, kTimeScale,
         kTracks);

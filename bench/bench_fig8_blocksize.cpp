@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   Table meas({"B (bytes)", "serial wall (s)", "async wall (s)",
               "async speedup", "serial MB/s/disk", "async MB/s/disk"});
   for (std::size_t b : {2048u, 8192u, 32768u, 131072u}) {
-    const std::string dir = "/tmp/emcgm_bench_fig8/B" + std::to_string(b);
+    const std::string dir = scratch_dir("fig8/B" + std::to_string(b));
     const OverlapRun serial =
         overlap_workload(kD, b, 0, pdm::BackendKind::kMemory, dir, cost,
                          kTimeScale, kTracks);

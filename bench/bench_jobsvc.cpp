@@ -10,14 +10,12 @@
 //      slow each other down asymmetrically — the ratio of their service
 //      spans (admit..end ticks) stays under kFairnessBound; deficit
 //      round-robin over counted bytes is what enforces it.
-//   3. Prefetch depth: widening the engine's read-ahead window changes wall
-//      time only — outputs and counted I/O stay bit-identical per depth.
-//   4. Parallel executor: four non-co-resident tenants (threads, async I/O
+//   3. Parallel executor: four non-co-resident tenants (threads, async I/O
 //      and a targeted chaos campaign among them) swept over workers
-//      0/1/2/4/8 — every tenant's output hash, IoStats, NetStats and
-//      charged bytes bit-identical across all counts and to the serial
-//      tick loop (hard gate), with the wall-time speedup reported and,
-//      when the machine has >= 4 cores, gated > 1.0x at workers=4.
+//      1/2/4/8 — every tenant's output hash, IoStats, NetStats and charged
+//      bytes bit-identical to its solo run, hence across all counts (hard
+//      gate), with the wall-time speedup reported and, when the machine
+//      has >= 4 cores, gated > 1.0x at workers=4.
 //
 // Exit 2 on any gate failure, so CI can hold the line.
 #include <algorithm>
@@ -202,44 +200,7 @@ int main(int argc, char** argv) {
     gate_ok = false;
   }
 
-  // ---- 3. Prefetch depth sweep ------------------------------------------
-  std::printf(
-      "\nPrefetch depth: the same async-I/O sort at widening read-ahead\n"
-      "windows. Counted I/O may not move; only wall time may.\n\n");
-
-  Table pf_table({"prefetch_depth", "wall s", "parallel I/Os", "blocks",
-                  "output hash"});
-  std::uint64_t ref_hash = 0;
-  std::uint64_t ref_ops = 0;
-  for (std::uint32_t depth : {1u, 2u, 4u, 8u}) {
-    auto s = spec_of("pf", "sort", 65536, 33);
-    s.io_threads = 2;
-    s.prefetch_depth = depth;
-    const auto t0 = std::chrono::steady_clock::now();
-    const JobResult r = run_job_solo(s, bench_pool());
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    char wall_s[32];
-    std::snprintf(wall_s, sizeof wall_s, "%.3f", wall);
-    char hash_s[32];
-    std::snprintf(hash_s, sizeof hash_s, "0x%llx",
-                  static_cast<unsigned long long>(r.output_hash));
-    pf_table.row({fmt_u(depth), wall_s, fmt_u(r.io.total_ops()),
-                  fmt_u(r.io.total_blocks()), hash_s});
-    if (depth == 1) {
-      ref_hash = r.output_hash;
-      ref_ops = r.io.total_ops();
-    } else if (r.output_hash != ref_hash || r.io.total_ops() != ref_ops) {
-      std::fprintf(stderr,
-                   "FAIL: prefetch_depth=%u changed outputs or counted"
-                   " I/O\n", depth);
-      gate_ok = false;
-    }
-  }
-  pf_table.print();
-
-  // ---- 4. Parallel executor worker sweep --------------------------------
+  // ---- 3. Parallel executor worker sweep --------------------------------
   std::printf(
       "\nParallel executor: four whole-host tenants (no shared pool host,\n"
       "so the arbitration phase emits four independent work items) swept\n"
@@ -268,11 +229,16 @@ int main(int argc, char** argv) {
   arm_service_chaos(wspec);
 
   Table sweep_table({"workers", "wall s", "speedup vs workers=1",
-                     "bit-identical to serial"});
-  std::vector<JobResult> serial_ref;
+                     "bit-identical to solo"});
+  // Every count is gated against the solo runs, so every count — workers=1
+  // included — is bit-identical to every other.
+  std::vector<JobResult> solo_ref;
+  for (const JobSpec& j : wspec.jobs) {
+    solo_ref.push_back(run_job_solo(j, wspec.service.pool));
+  }
   double wall_one = 0.0;
   double wall_four = 0.0;
-  for (std::uint32_t workers : {0u, 1u, 2u, 4u, 8u}) {
+  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
     ServiceConfig cfg = wspec.service;
     cfg.workers = workers;
     JobService sweep(cfg);
@@ -282,25 +248,23 @@ int main(int argc, char** argv) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (workers == 0) serial_ref = rs;
     if (workers == 1) wall_one = wall;
     if (workers == 4) wall_four = wall;
 
     bool same = true;
     for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (!rs[i].ok || !identical_to_solo(rs[i], serial_ref[i])) {
+      if (!rs[i].ok || !identical_to_solo(rs[i], solo_ref[i])) {
         same = false;
       }
     }
     if (!same) {
       std::fprintf(stderr,
                    "FAIL: workers=%u changed a tenant observable — the"
-                   " parallel loop is not bit-identical to the serial"
-                   " reference\n",
+                   " tick loop is not bit-identical to the solo runs\n",
                    workers);
       gate_ok = false;
     }
-    if (serial_ref[2].io.retries == 0) {
+    if (rs[2].io.retries == 0) {
       std::fprintf(stderr, "FAIL: sweep chaos campaign never fired\n");
       gate_ok = false;
     }
@@ -308,13 +272,8 @@ int main(int argc, char** argv) {
     char wall_s[32];
     std::snprintf(wall_s, sizeof wall_s, "%.3f", wall);
     char speed_s[32];
-    if (workers >= 1 && wall_one > 0.0) {
-      std::snprintf(speed_s, sizeof speed_s, "%.2fx", wall_one / wall);
-    } else {
-      std::snprintf(speed_s, sizeof speed_s, "-");
-    }
-    sweep_table.row({workers == 0 ? "0 (serial loop)" : fmt_u(workers),
-                     wall_s, speed_s, same ? "yes" : "NO"});
+    std::snprintf(speed_s, sizeof speed_s, "%.2fx", wall_one / wall);
+    sweep_table.row({fmt_u(workers), wall_s, speed_s, same ? "yes" : "NO"});
   }
   sweep_table.print();
 
@@ -340,13 +299,12 @@ int main(int argc, char** argv) {
       "\nExpected shape: every tenant row says 'identical to solo' — the\n"
       "scheduler time-multiplexes barriers, it never touches tenant state.\n"
       "The worker sweep may only move wall time. The bench exits nonzero\n"
-      "when isolation, the fairness bound, the prefetch invariance, or the\n"
-      "worker-count invariance fails.\n");
+      "when isolation, the fairness bound, or the worker-count invariance\n"
+      "fails.\n");
 
   write_json_report(json_path,
                     {{"multi_tenant_service_vs_solo", svc_table},
                      {"fair_share_equal_priority", fair_table},
-                     {"prefetch_depth_sweep", pf_table},
                      {"parallel_worker_sweep", sweep_table}});
   return gate_ok ? 0 : 2;
 }

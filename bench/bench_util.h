@@ -12,11 +12,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cgm/engine.h"
 #include "cgm/machine.h"
@@ -25,6 +28,7 @@
 #include "obs/trace.h"
 #include "pdm/cost_model.h"
 #include "pdm/disk_array.h"
+#include "util/json.h"
 #include "util/timer.h"
 
 namespace emcgm::bench {
@@ -102,27 +106,8 @@ class Table {
   /// formatted for humans, and a consumer that wants numbers can parse them
   /// without this header guessing types.
   void write_json(std::FILE* f, const std::string& name) const {
-    auto escape = [](const std::string& s) {
-      std::string out;
-      out.reserve(s.size());
-      for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += ch;
-        }
-      }
-      return out;
-    };
-    std::fprintf(f, "{\"name\": \"%s\", \"rows\": [", escape(name).c_str());
+    std::fprintf(f, "{\"name\": \"%s\", \"rows\": [",
+                 json_escape(name).c_str());
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       std::fprintf(f, r == 0 ? "\n" : ",\n");
       std::fprintf(f, "  {");
@@ -130,7 +115,8 @@ class Table {
         const std::string& cell =
             c < rows_[r].size() ? rows_[r][c] : std::string();
         std::fprintf(f, "%s\"%s\": \"%s\"", c == 0 ? "" : ", ",
-                     escape(headers_[c]).c_str(), escape(cell).c_str());
+                     json_escape(headers_[c]).c_str(),
+                     json_escape(cell).c_str());
       }
       std::fprintf(f, "}");
     }
@@ -141,6 +127,27 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// This process's scratch root for file-backed runs, <tmp>/emcgm_bench_<pid>,
+/// removed at exit: two benches running at once never share a disk file.
+inline const std::string& scratch_root() {
+  static const std::string* const root = [] {
+    std::atexit([] {
+      std::error_code ec;
+      std::filesystem::remove_all(scratch_root(), ec);
+    });
+    // Heap-held so it outlives static destruction for the handler above.
+    return new std::string((std::filesystem::temp_directory_path() /
+                            ("emcgm_bench_" + std::to_string(::getpid())))
+                               .string());
+  }();
+  return *root;
+}
+
+/// `name` (a relative path, e.g. "fig4/D4") under scratch_root().
+inline std::string scratch_dir(const std::string& name) {
+  return scratch_root() + "/" + name;
+}
 
 /// Parse `--json <path>` (or `--json=<path>`) from argv. Returns the empty
 /// string when the flag is absent; exits with a usage message when the flag

@@ -31,21 +31,6 @@ struct MachineConfig {
   /// all values (DESIGN.md §12).
   std::uint32_t io_threads = 0;
 
-  /// How many virtual processors ahead the engine prefetches contexts and
-  /// inboxes while one vproc computes (async arrays only, io_threads > 0;
-  /// the serial path has no pipeline to feed). 1 — the default, and the
-  /// behavior before this knob existed — keeps exactly the next vproc in
-  /// flight; deeper windows keep the per-disk executor queues fed when a
-  /// single vproc's reads cannot saturate D disks. Every depth is safe by
-  /// the same double-buffer argument as depth 1 (prefetch targets are this
-  /// superstep's read regions, never its write targets) and produces
-  /// bit-identical outputs and IoStats — reads are merely *issued* earlier,
-  /// reaped by the same barriers. The window is additionally
-  /// bounded by M when memory_bytes > 0: at most
-  /// max(1, memory_bytes / (2 * avg context bytes)) vprocs ahead, so
-  /// prefetch buffers never dominate the memory the model grants.
-  std::uint32_t prefetch_depth = 1;
-
   /// Local memory per real processor in bytes (the paper's M); 0 disables
   /// the residency check. The EM engine verifies context + inbox + outbox of
   /// the virtual processor being simulated fit in M.
@@ -153,17 +138,12 @@ struct MachineConfig {
               net.schedule == routing::ScheduleKind::kCustom,
           "net.custom_schedule_json is set but net.schedule is not kCustom;"
           " refusing to silently ignore the supplied schedule");
-    check(prefetch_depth >= 1,
-          "prefetch_depth == 0 would starve the pipeline; use 1 for the"
-          " minimal (legacy) one-ahead window");
     for (const net::NodeEvent& e : net.fault.fail_stops) {
       check(e.proc < p, "fail_stops names a processor outside 0..p-1");
     }
     for (const net::NodeEvent& e : net.fault.rejoins) {
       check(e.proc < p, "rejoins names a processor outside 0..p-1");
-      bool killed_before =
-          net.fault.fail_stop_proc == e.proc && net.fault.fail_stop_at_step <
-                                                    e.step;
+      bool killed_before = false;
       for (const net::NodeEvent& k : net.fault.fail_stops) {
         killed_before = killed_before || (k.proc == e.proc && k.step < e.step);
       }

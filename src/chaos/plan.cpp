@@ -172,13 +172,11 @@ void ChaosPlan::apply(cgm::MachineConfig& cfg) const {
         // Reboot of a machine the plan never killed earlier: a no-op, not
         // an error — the shrinker must be free to drop kills and rejoins
         // independently without producing an invalid config.
-        bool killed_before = cfg.net.fault.fail_stop_proc == e.proc &&
-                             cfg.net.fault.fail_stop_at_step < e.value;
-        for (const ChaosEvent& k : events) {
-          killed_before = killed_before ||
-                          (k.kind == ChaosEvent::Kind::kKill &&
-                           k.proc == e.proc && k.value < e.value);
-        }
+        const bool killed_before = std::any_of(
+            events.begin(), events.end(), [&](const ChaosEvent& k) {
+              return k.kind == ChaosEvent::Kind::kKill && k.proc == e.proc &&
+                     k.value < e.value;
+            });
         if (killed_before) {
           nf.rejoins.push_back(net::NodeEvent{e.proc, e.value});
           cfg.net.rejoin = true;

@@ -68,12 +68,6 @@ std::vector<std::byte> ContextStore::read(std::uint32_t local) {
   return out;
 }
 
-std::size_t ContextStore::context_bytes(std::uint32_t local) const {
-  EMCGM_CHECK(local < nlocal_);
-  const auto& e = regions_[active_].extents[local];
-  return e.has_value() ? static_cast<std::size_t>(e->bytes) : 0;
-}
-
 void ContextStore::flip() {
   drop_prefetches();
   Region& w = regions_[1 - active_];

@@ -42,9 +42,6 @@ class ContextStore {
   /// immediately; read(local) then just hands the buffer over. Idempotent.
   void prefetch(std::uint32_t local);
 
-  /// Size of the context that read(local) would return, without I/O.
-  std::size_t context_bytes(std::uint32_t local) const;
-
   /// Superstep boundary: the freshly written region becomes readable.
   /// Every local virtual processor must have been written exactly once
   /// since the previous flip.

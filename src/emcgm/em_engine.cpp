@@ -1014,11 +1014,6 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
                               r, -1, phys_step_, rs.round, io_src);
     out.by_owner.assign(p, {});
     out.done.assign(nloc, 0);
-    // Prefetch window cursor: first local vproc whose context/inbox reads
-    // have not been issued yet. Depth 1 (the default) reproduces the
-    // pre-knob one-ahead pipeline exactly — same issue order, same spans.
-    const std::uint32_t depth = cfg_.prefetch_depth;
-    std::uint32_t pf = 1;
     for (std::uint32_t jl = 0; jl < nloc; ++jl) {
       const std::uint32_t g = r * nloc + jl;
       // (a) context in.
@@ -1048,34 +1043,11 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
       // buffer (per-disk FIFO covers any same-disk pair regardless).
       // Serial arrays skip this: the prefetch would just execute the
       // reads early, changing nothing but span shapes.
-      // A window of prefetch_depth vprocs is kept in flight; when the model
-      // grants finite memory the window additionally stops once its context
-      // bytes would exceed M/2, leaving the computing vproc its own
-      // residency (cgm::MachineConfig::prefetch_depth). The cursor `pf`
-      // guarantees each vproc's reads are issued exactly once per superstep
-      // whatever the window shape.
       if (rp.disks->async() && jl + 1 < nloc) {
-        std::uint32_t hi = std::min<std::uint32_t>(nloc - 1, jl + depth);
-        if (cfg_.memory_bytes > 0 && depth > 1) {
-          std::uint64_t budget = cfg_.memory_bytes / 2;
-          std::uint32_t lim = jl + 1;  // one ahead is always allowed
-          for (std::uint32_t k = jl + 1; k <= hi; ++k) {
-            const std::uint64_t cb = rp.contexts->context_bytes(k);
-            if (k > jl + 1 && cb > budget) break;
-            budget -= std::min(budget, cb);
-            lim = k;
-          }
-          hi = lim;
-        }
-        if (pf < jl + 1) pf = jl + 1;
-        if (pf <= hi) {
-          obs::SpanScope span(tr, shard, obs::SpanKind::kIoPrefetch, host, r,
-                              r, g + 1, phys_step_, rs.round, io_src);
-          for (; pf <= hi; ++pf) {
-            rp.contexts->prefetch(pf);
-            rp.messages->prefetch_incoming(r * nloc + pf);
-          }
-        }
+        obs::SpanScope span(tr, shard, obs::SpanKind::kIoPrefetch, host, r,
+                            r, g + 1, phys_step_, rs.round, io_src);
+        rp.contexts->prefetch(jl + 1);
+        rp.messages->prefetch_incoming(g + 1);
       }
       // (c) compute.
       cgm::ProcCtx pctx(g, v, cfg_.seed);
@@ -1161,8 +1133,6 @@ void EmEngine::regroup_real_proc(RunState& rs, std::uint32_t r,
     obs::SpanScope group_span(tr, shard, obs::SpanKind::kGroupStep, host, r,
                               r, -1, phys_step_, rs.round, io_src);
     out.by_owner.assign(p, {});
-    const std::uint32_t depth = cfg_.prefetch_depth;
-    std::uint32_t pf = 1;
     for (std::uint32_t jl = 0; jl < nloc; ++jl) {
       const std::uint32_t g = r * nloc + jl;
       std::vector<cgm::Message> inbox;
@@ -1171,21 +1141,12 @@ void EmEngine::regroup_real_proc(RunState& rs, std::uint32_t r,
                             r, g, phys_step_, rs.round, io_src);
         inbox = rp.messages->read_incoming(g);
       }
-      // Overlap the next inbox fetches with this regrouping pass (same
-      // safety argument and pf-cursor window as in the compute phase;
-      // regrouping touches no contexts, so only the message store is
-      // prefetched and the M/2 context bound does not apply).
+      // Overlap the next inbox fetch with this regrouping pass (same safety
+      // argument as in the compute phase; regrouping touches no contexts).
       if (rp.disks->async() && jl + 1 < nloc) {
-        const std::uint32_t hi =
-            std::min<std::uint32_t>(nloc - 1, jl + depth);
-        if (pf < jl + 1) pf = jl + 1;
-        if (pf <= hi) {
-          obs::SpanScope span(tr, shard, obs::SpanKind::kIoPrefetch, host, r,
-                              r, g + 1, phys_step_, rs.round, io_src);
-          for (; pf <= hi; ++pf) {
-            rp.messages->prefetch_incoming(r * nloc + pf);
-          }
-        }
+        obs::SpanScope span(tr, shard, obs::SpanKind::kIoPrefetch, host, r,
+                            r, g + 1, phys_step_, rs.round, io_src);
+        rp.messages->prefetch_incoming(g + 1);
       }
       obs::SpanScope span(tr, shard, obs::SpanKind::kOutboxWrite, host, r,
                           r, g, phys_step_, rs.round, io_src);

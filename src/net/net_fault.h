@@ -11,8 +11,8 @@
 //   * reorder   — the frame is delayed past later frames on the link,
 //   * delay     — congestion adds plan.delay_ticks of latency,
 //
-// plus fail-stop of a whole real processor: from fail_stop_at_step on, every
-// frame to or from fail_stop_proc is dropped — the machine is gone.
+// plus fail-stop of a whole real processor: from a fail_stops event's step
+// on, every frame to or from its processor is dropped — the machine is gone.
 //
 // Heartbeat-class frames are exempt from the five random classes and subject
 // only to fail-stop. This models an eventually-perfect failure detector
@@ -55,24 +55,18 @@ struct NetFaultPlan {
   std::uint32_t delay_ticks = 3;         ///< extra latency of a delay fault
   std::uint32_t base_latency_ticks = 1;  ///< fault-free one-way latency
 
-  /// Fail-stop: real processor fail_stop_proc dies at physical superstep
-  /// fail_stop_at_step (all its traffic is dropped from then on). Shorthand
-  /// for a single-entry `fail_stops` schedule; both forms may be combined.
-  std::uint32_t fail_stop_proc = kNoProc;
-  std::uint64_t fail_stop_at_step = 0;
-
-  /// Full membership schedule: additional fail-stop events, and deterministic
-  /// reboots. A processor with a rejoin event later than its latest fail-stop
-  /// has its traffic flow again from that step on — the engine's rejoin
-  /// handshake (cfg.net.rejoin) then re-admits it at a superstep barrier.
-  /// A kill and a reboot at the same step resolve to dead (kill wins).
+  /// Membership schedule: fail-stops (all of the processor's traffic is
+  /// dropped from that physical superstep on) and deterministic reboots. A
+  /// processor with a rejoin later than its latest fail-stop has its traffic
+  /// flow again from that step on — the engine's rejoin handshake
+  /// (cfg.net.rejoin) re-admits it at a barrier. A kill and a reboot at the
+  /// same step resolve to dead (kill wins).
   std::vector<NodeEvent> fail_stops{};
   std::vector<NodeEvent> rejoins{};
 
   bool enabled() const {
     return drop_prob > 0 || dup_prob > 0 || corrupt_prob > 0 ||
-           reorder_prob > 0 || delay_prob > 0 || fail_stop_proc != kNoProc ||
-           !fail_stops.empty();
+           reorder_prob > 0 || delay_prob > 0 || !fail_stops.empty();
   }
 };
 

@@ -18,7 +18,6 @@ cgm::MachineConfig make_machine_config(const JobSpec& spec,
   cfg.seed = spec.seed;
   cfg.use_threads = spec.use_threads;
   cfg.io_threads = spec.io_threads;
-  cfg.prefetch_depth = spec.prefetch_depth;
   cfg.backend = pdm::BackendKind::kMemory;
   // Multi-host jobs route crossing messages through their own simulated
   // network, so the net arbitration hook sees their wire traffic.

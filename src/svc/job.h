@@ -37,7 +37,6 @@ struct JobSpec {
   std::uint64_t arrival_tick = 0; ///< service tick the job arrives at
   bool use_threads = false;
   std::uint32_t io_threads = 0;
-  std::uint32_t prefetch_depth = 1;
   /// Optional chaos::ChaosPlan JSON armed on this tenant's machine only —
   /// co-resident tenants are structurally untouched by it.
   std::string chaos_json;
@@ -77,7 +76,6 @@ class Job {
   Job(JobSpec spec, std::uint64_t job_id, const PoolConfig& pool,
       std::vector<std::uint32_t> carve, bool tenant_trace);
 
-  const JobSpec& spec() const { return spec_; }
   const std::vector<std::uint32_t>& carve() const { return carve_; }
 
   /// Run one superstep (or start the next stage at a stage boundary) and
@@ -85,9 +83,6 @@ class Job {
   /// the result is then final. Never throws: a failure is captured into
   /// the result (the service keeps running the other tenants).
   bool step();
-
-  bool done() const { return done_; }
-  bool ok() const { return done_ && error_.empty(); }
 
   /// Drain the arbitration cost accumulated since the last call (counted
   /// bytes: blocks * block_bytes + wire bytes). Called by the scheduler at
@@ -104,7 +99,7 @@ class Job {
   std::uint64_t end_tick = 0;
   std::uint64_t charged_total = 0;
 
-  /// Finalize the result (requires done()).
+  /// Finalize the result (requires step() to have returned false).
   JobResult result() const;
 
   const em::EmEngine& engine() const { return *engine_; }

@@ -41,8 +41,6 @@ JobSpec parse_job(JsonCursor& c) {
       j.use_threads = c.parse_bool();
     } else if (key == "io_threads") {
       j.io_threads = c.parse_u32();
-    } else if (key == "prefetch_depth") {
-      j.prefetch_depth = c.parse_u32();
     } else if (key == "chaos") {
       j.chaos_json = c.capture_object();
     } else {
@@ -143,6 +141,7 @@ ServiceSpec parse_service_json(const std::string& text) {
       spec.service.quantum_bytes = c.parse_u64();
     } else if (key == "workers") {
       spec.service.workers = c.parse_u32();
+      if (spec.service.workers == 0) c.fail("\"workers\" must be >= 1");
     } else if (key == "trace") {
       spec.service.trace = c.parse_bool();
     } else if (key == "jobs") {
@@ -192,9 +191,9 @@ std::string results_json(const std::vector<JobResult>& results,
   os << "{\"ticks\":" << ticks << ",\"jobs\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const JobResult& r = results[i];
-    os << (i == 0 ? "" : ",") << "\n {\"name\":\"" << r.name << "\","
-       << "\"ok\":" << (r.ok ? "true" : "false") << ","
-       << "\"error\":\"" << r.error << "\","
+    os << (i == 0 ? "" : ",") << "\n {\"name\":\"" << json_escape(r.name)
+       << "\",\"ok\":" << (r.ok ? "true" : "false") << ","
+       << "\"error\":\"" << json_escape(r.error) << "\","
        << "\"output_hash\":\"0x" << std::hex << r.output_hash << std::dec
        << "\",\"supersteps\":" << r.supersteps
        << ",\"preemptions\":" << r.preemptions

@@ -37,15 +37,15 @@ struct ServiceSpec {
 ///       {"name": "sortA", "workload": "sort", "n": 4096, "seed": 7,
 ///        "v": 8, "hosts": 2, "disks": 4, "priority": 1,
 ///        "arrival_tick": 0, "use_threads": false, "io_threads": 0,
-///        "prefetch_depth": 1, "chaos": {...ChaosPlan object...}}, ...
+///        "chaos": {...ChaosPlan object...}}, ...
 ///     ],
 ///     "chaos": {"seed": 5, "target_tenant": 1, "max_events": 4, ...}
 ///   }
 ///
 /// Every field except job "name" and "workload" has the JobSpec default.
-/// "workers" selects the execution-phase thread count (0 = serial tick
-/// loop; absent = hardware concurrency); pool "placement" is "pack" or
-/// "spread" — any other string is rejected typed.
+/// "workers" selects the execution-phase thread count (>= 1; absent =
+/// hardware concurrency); pool "placement" is "pack" or "spread" — any
+/// other string is rejected typed.
 /// Throws IoError(kConfig) on malformed input.
 ServiceSpec parse_service_json(const std::string& text);
 

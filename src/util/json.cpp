@@ -1,12 +1,34 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 #include "util/error.h"
 
 namespace emcgm {
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (ch == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+  return out;
+}
 
 void JsonCursor::fail(const std::string& why) const {
   throw IoError(IoErrorKind::kConfig, what_ + ": " + why);
@@ -34,8 +56,25 @@ std::string JsonCursor::parse_string() {
   expect('"');
   std::string s;
   while (p_ < end_ && *p_ != '"') {
-    if (*p_ == '\\') fail("escape sequences unsupported");
-    s += *p_++;
+    char c = *p_++;
+    if (c == '\\' && p_ < end_) {
+      c = *p_++;
+      if (c == 'n') {
+        c = '\n';
+      } else if (c == 'u') {
+        unsigned code = 0;
+        const char* digits_end = std::min(p_ + 4, end_);
+        const auto [after, ec] = std::from_chars(p_, digits_end, code, 16);
+        if (ec != std::errc{} || after != p_ + 4 || code >= 0x80) {
+          fail("unsupported \\u escape (want \\u0000..\\u007f)");
+        }
+        c = static_cast<char>(code);
+        p_ = after;
+      } else if (c != '"' && c != '\\' && c != '/') {
+        fail(std::string("unsupported escape '\\") + c + "'");
+      }
+    }
+    s += c;
   }
   expect('"');
   return s;
@@ -88,7 +127,11 @@ std::string JsonCursor::capture_object() {
   while (p_ < end_) {
     const char c = *p_++;
     if (in_str) {
-      if (c == '"') in_str = false;
+      if (c == '\\' && p_ < end_) {
+        ++p_;  // an escaped character never ends the string
+      } else if (c == '"') {
+        in_str = false;
+      }
       continue;
     }
     if (c == '"') in_str = true;

@@ -1,7 +1,8 @@
 // The one JSON reader of the tree: a cursor over exactly the small schemas
 // the project reads (chaos plans, collective schedules, job files) —
-// objects, arrays, escape-free strings, numbers and booleans. No
-// third-party JSON dependency anywhere in the tree.
+// objects, arrays, strings, numbers and booleans — plus json_escape, the
+// one string escape its writers share. No third-party JSON dependency
+// anywhere in the tree.
 //
 // Integers are read exactly with std::from_chars: seeds use all 64 bits,
 // which a double cannot hold, and an id field given as -1, 1.5 or a value
@@ -11,9 +12,15 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace emcgm {
+
+/// `s` as the body of a JSON string literal: quote and backslash escaped,
+/// newline as \n, every other control character as \u00XX — the escapes
+/// JsonCursor::parse_string reads back.
+std::string json_escape(std::string_view s);
 
 class JsonCursor {
  public:
@@ -32,6 +39,8 @@ class JsonCursor {
   /// Skip whitespace and consume `c`, or fail.
   void expect(char c);
 
+  /// A string; decodes \" \\ \/ \n and ASCII \u00XX, fails on any other
+  /// escape.
   std::string parse_string();
   /// A real-valued field (probabilities, slack).
   double parse_number();

@@ -11,11 +11,15 @@
 
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "algo/sort.h"
 #include "emcgm/em_engine.h"
+#include "obs/trace.h"
 #include "scoped_temp_dir.h"
 #include "pdm/disk_array.h"
 #include "pdm/fault.h"
@@ -361,11 +365,63 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsMultiProcThreads) {
   }
 }
 
-TEST(PdmAsync, PrefetchDepthInvisibleOnOutputsAndStats) {
-  // prefetch_depth widens the read-ahead window (how many vproc contexts +
-  // inboxes are in flight), never what is read: every vproc is prefetched
-  // exactly once, so outputs, total IoStats and the per-step ledger are all
-  // bit-identical across depths. depth=1 is the legacy one-ahead pipeline.
+namespace {
+
+/// Traced io_threads = 2 run of `cfg` checked against the untraced serial
+/// run: outputs and IoStats equal, and in every superstep each group issues
+/// exactly one io_prefetch span per vproc after its first, for the next
+/// vproc (g + 1) in ascending order — the one-ahead pipeline. Returns the
+/// number of supersteps whose group steps read no context (regroup steps).
+std::size_t expect_one_ahead_pipeline(cgm::MachineConfig cfg) {
+  const auto serial = run_engine(cfg, 0);
+  cfg.io_threads = 2;
+  cfg.obs.trace = true;
+  em::EmEngine e(cfg);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  EngineDigest traced;
+  traced.outputs = e.run(prog, keyed_inputs(cfg.v, 2000));
+  traced.io = e.last_result().io;
+  traced.io_per_step = e.last_result().io_per_step;
+  expect_same(serial, traced, "traced io_threads=2");
+
+  const std::uint32_t nloc = cfg.v / cfg.p;
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (group, step)
+  std::map<Key, std::vector<std::int64_t>> targets;
+  std::map<std::uint64_t, bool> step_reads_context;
+  for (const obs::Span& s : e.tracer()->merged()) {
+    const Key key{s.group, s.step};
+    if (s.kind == obs::SpanKind::kGroupStep) {
+      targets[key];
+      step_reads_context.emplace(s.step, false);
+    } else if (s.kind == obs::SpanKind::kIoPrefetch) {
+      targets[key].push_back(s.vproc);
+    } else if (s.kind == obs::SpanKind::kContextRead) {
+      step_reads_context[s.step] = true;
+    }
+  }
+  EXPECT_FALSE(targets.empty());
+  for (const auto& [key, got] : targets) {
+    std::vector<std::int64_t> want;
+    for (std::uint32_t jl = 1; jl < nloc; ++jl) {
+      want.push_back(key.first * nloc + jl);
+    }
+    EXPECT_EQ(got, want) << "group " << key.first << " step " << key.second;
+  }
+  std::size_t regroup_steps = 0;
+  for (const auto& [step, reads] : step_reads_context) {
+    if (!reads) ++regroup_steps;
+  }
+  return regroup_steps;
+}
+
+}  // namespace
+
+TEST(PdmAsync, PrefetchRunsExactlyOneVprocAhead) {
+  // The engine overlaps each vproc's compute with the next vproc's context
+  // and inbox reads — one prefetch per vproc after the first, per group and
+  // superstep — and the overlap moves no output and no counted I/O. The
+  // balanced-routing run covers the regroup supersteps, which prefetch
+  // inboxes only.
   cgm::MachineConfig cfg;
   cfg.v = 8;
   cfg.p = 1;
@@ -373,40 +429,15 @@ TEST(PdmAsync, PrefetchDepthInvisibleOnOutputsAndStats) {
   cfg.disk.block_bytes = 128;
   cfg.checksums = true;
   cfg.seed = 7;
-  cfg.prefetch_depth = 1;
-  const auto ref = run_engine(cfg, 2);
-  for (std::uint32_t depth : {2u, 4u, 8u, 64u}) {
-    cfg.prefetch_depth = depth;
-    expect_same(ref, run_engine(cfg, 2),
-                ("prefetch_depth=" + std::to_string(depth)).c_str());
-  }
+  EXPECT_EQ(expect_one_ahead_pipeline(cfg), 0u);
+  cfg.balanced_routing = true;
+  EXPECT_GT(expect_one_ahead_pipeline(cfg), 0u);
 }
 
-TEST(PdmAsync, PrefetchDepthBoundedByMemoryBudget) {
-  // With a memory budget the window self-limits to M/2 bytes of contexts
-  // (always at least one ahead) — and that clamping must be invisible too.
-  cgm::MachineConfig cfg;
-  cfg.v = 8;
-  cfg.p = 1;
-  cfg.disk.num_disks = 4;
-  cfg.disk.block_bytes = 128;
-  cfg.seed = 7;
-  cfg.prefetch_depth = 1;
-  const auto ref = run_engine(cfg, 2);
-  cfg.prefetch_depth = 8;
-  // The floor must clear the engine's legitimate per-vproc residency check
-  // (one vproc's context + inbox must always fit in M).
-  for (std::uint64_t mem : {std::uint64_t{1} << 14, std::uint64_t{1} << 16,
-                            std::uint64_t{1} << 30}) {
-    cfg.memory_bytes = mem;
-    expect_same(ref, run_engine(cfg, 2), ("M=" + std::to_string(mem)).c_str());
-  }
-}
-
-TEST(PdmAsync, PrefetchDepthInvisibleUnderThreadsAndFaults) {
-  // Deep windows under host threads + async I/O + transient faults: the
-  // per-disk fault coins fire by access order, which deeper prefetch must
-  // not perturb.
+TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsUnderThreadsAndFaults) {
+  // Host threads + async I/O + transient faults at once: the per-disk fault
+  // coins fire by access order, which the prefetch pipeline's early reads
+  // must not perturb.
   cgm::MachineConfig cfg;
   cfg.v = 4;
   cfg.p = 2;
@@ -419,8 +450,7 @@ TEST(PdmAsync, PrefetchDepthInvisibleUnderThreadsAndFaults) {
   cfg.fault.transient_read_prob = 0.01;
   cfg.fault.transient_write_prob = 0.01;
   cfg.seed = 7;
-  cfg.prefetch_depth = 1;
-  const auto ref = run_engine(cfg, 2);
-  cfg.prefetch_depth = 4;
-  expect_same(ref, run_engine(cfg, 2), "prefetch_depth=4 threaded+faults");
+  const auto serial = run_engine(cfg, 0);
+  EXPECT_GT(serial.io.retries, 0u);
+  expect_same(serial, run_engine(cfg, 2), "io_threads=2 threaded+faults");
 }

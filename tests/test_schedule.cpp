@@ -637,8 +637,7 @@ TEST(ScheduleEngine, FailoverSweepUnderEverySchedule) {
     for (std::uint64_t step : {std::uint64_t{2}, steps / 2 + 1}) {
       auto cfg = sched_cfg(8, 4, kind);
       cfg.net.failover = true;
-      cfg.net.fault.fail_stop_proc = 3;
-      cfg.net.fault.fail_stop_at_step = step;
+      cfg.net.fault.fail_stops = {{3, step}};
       em::EmEngine e(cfg);
       const auto got = e.run(prog, sort_inputs(8, keys));
       EXPECT_TRUE(same_outputs(expected, got))
@@ -815,8 +814,7 @@ TEST(ScheduleCustom, MembershipChangeFallsBackToDirect) {
   auto cfg = sched_cfg(8, 4, ScheduleKind::kCustom);
   cfg.net.custom_schedule_json = ring.to_json();
   cfg.net.failover = true;
-  cfg.net.fault.fail_stop_proc = 3;
-  cfg.net.fault.fail_stop_at_step = 2;
+  cfg.net.fault.fail_stops = {{3, 2}};
   em::EmEngine e(cfg);
   const auto got = e.run(prog, sort_inputs(8, keys));
   EXPECT_TRUE(same_outputs(expected, got));

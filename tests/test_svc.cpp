@@ -21,6 +21,7 @@
 #include "svc/svc_json.h"
 #include "svc/workload.h"
 #include "util/error.h"
+#include "util/json.h"
 
 using namespace emcgm;
 using namespace emcgm::svc;
@@ -241,7 +242,6 @@ TEST(TenantIsolation, ThreadedTenantsStayIsolated) {
   specs.push_back(s0);
   auto s1 = spec_of("tB", "list_rank", 1024, 5);
   s1.io_threads = 2;
-  s1.prefetch_depth = 4;
   specs.push_back(s1);
 
   ServiceConfig sc;
@@ -348,7 +348,7 @@ TEST(SvcJson, ParsesTheFullJobFileSchema) {
     "jobs": [
       {"name": "a", "workload": "sort", "n": 100, "seed": 4, "v": 4,
        "hosts": 2, "disks": 3, "priority": 2, "arrival_tick": 9,
-       "use_threads": true, "io_threads": 2, "prefetch_depth": 4},
+       "use_threads": true, "io_threads": 2},
       {"name": "b", "workload": "maxima",
        "chaos": {"seed": 3, "events": []}}
     ],
@@ -367,7 +367,7 @@ TEST(SvcJson, ParsesTheFullJobFileSchema) {
   EXPECT_EQ(s.jobs[0].priority, 2u);
   EXPECT_EQ(s.jobs[0].arrival_tick, 9u);
   EXPECT_TRUE(s.jobs[0].use_threads);
-  EXPECT_EQ(s.jobs[0].prefetch_depth, 4u);
+  EXPECT_EQ(s.jobs[0].io_threads, 2u);
   EXPECT_EQ(s.jobs[1].workload, "maxima");
   // The per-job chaos object is captured verbatim and parses as a plan.
   EXPECT_NO_THROW(chaos::ChaosPlan::parse_json(s.jobs[1].chaos_json));
@@ -455,4 +455,48 @@ TEST(SvcJson, ResultsDocumentCarriesPerTenantStats) {
         "\"blocks_read\"", "\"wire_bytes\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key << " in " << doc;
   }
+}
+
+TEST(SvcJson, ResultsDocumentEscapesNameAndError) {
+  // A failed job's error text may quote JSON (a JsonCursor error reads
+  // "expected '\"'"), name a path with backslashes or span lines; the
+  // results document must stay valid JSON and carry both strings intact.
+  JobResult failed;
+  failed.name = "tenant \"q\"";
+  failed.error = "job file JSON: expected '\"'\nat C:\\jobs\\a.json\t(tab)\x01";
+  const std::string doc = results_json({failed}, 7);
+
+  JsonCursor c(doc, "results JSON");
+  std::string name;
+  std::string error;
+  c.expect('{');
+  EXPECT_EQ(c.parse_string(), "ticks");
+  c.expect(':');
+  EXPECT_EQ(c.parse_u64(), 7u);
+  c.expect(',');
+  EXPECT_EQ(c.parse_string(), "jobs");
+  c.expect(':');
+  c.expect('[');
+  c.expect('{');
+  for (bool first = true; !c.peek('}'); first = false) {
+    if (!first) c.expect(',');
+    const std::string key = c.parse_string();
+    c.expect(':');
+    if (c.peek('{')) {
+      c.capture_object();
+    } else if (c.peek('"')) {
+      const std::string value = c.parse_string();
+      if (key == "name") name = value;
+      if (key == "error") error = value;
+    } else if (c.peek('t') || c.peek('f')) {
+      c.parse_bool();
+    } else {
+      c.parse_u64();
+    }
+  }
+  c.expect('}');
+  c.expect(']');
+  c.expect('}');
+  EXPECT_EQ(name, failed.name);
+  EXPECT_EQ(error, failed.error);
 }

@@ -1,8 +1,9 @@
 // Parallel job-service executor (src/svc): the work-stealing WorkerPool,
-// the two-phase tick loop's worker-count invariance (every per-tenant
-// observable bit-identical across workers 0/1/2/4/8), seeded schedule
-// perturbation converging to the serial reference, chaos targeting under a
-// parallel run, the spread placement policy, and the new JSON knobs.
+// the tick loop's worker-count invariance (every per-tenant observable
+// bit-identical across workers 1/2/4/8 and to the tenant's solo run),
+// seeded schedule perturbation converging to the workers = 1 reference,
+// chaos targeting under a parallel run, the spread placement policy, and
+// the JSON knobs.
 //
 // Suite names matter: CI's TSan job selects tests by regex, and
 // `WorkerPool|Parallel|Placement` pulls these in so concurrently stepped
@@ -82,8 +83,8 @@ std::vector<JobResult> run_with_workers(
   return rs;
 }
 
-/// Everything that must not depend on the worker count (vs the serial
-/// reference): outputs, engine stats, and the DRR-charged bytes.
+/// Everything that must not depend on the worker count or on co-resident
+/// tenants: outputs, engine stats, and the DRR-charged bytes.
 void expect_observables_equal(const JobResult& a, const JobResult& b) {
   EXPECT_EQ(a.ok, b.ok) << a.name;
   EXPECT_EQ(a.error, b.error) << a.name;
@@ -95,6 +96,19 @@ void expect_observables_equal(const JobResult& a, const JobResult& b) {
   EXPECT_EQ(a.io, b.io) << a.name;
   EXPECT_EQ(a.net, b.net) << a.name;
   EXPECT_EQ(a.charged_bytes, b.charged_bytes) << a.name;
+}
+
+/// The workers = 1 reference run of `specs`, every tenant checked against
+/// its solo run — the isolation contract's own reference.
+std::vector<JobResult> reference_run(const std::vector<JobSpec>& specs) {
+  const auto reference = run_with_workers(specs, 1);
+  EXPECT_EQ(reference.size(), specs.size());
+  for (std::size_t i = 0; i < reference.size() && i < specs.size(); ++i) {
+    EXPECT_TRUE(reference[i].ok) << reference[i].name << reference[i].error;
+    expect_observables_equal(reference[i],
+                             run_job_solo(specs[i], small_pool()));
+  }
+  return reference;
 }
 
 /// Deterministic per-(slot, tick) jitter for the perturbation stress: a
@@ -190,11 +204,10 @@ TEST(WorkerPool, ReusableAcrossBatchesAndZeroWorkersRejected) {
 
 TEST(SvcParallel, ObservablesBitIdenticalAcrossWorkerCounts) {
   const auto specs = mixed_specs();
-  const auto reference = run_with_workers(specs, 0);  // serial tick loop
+  const auto reference = reference_run(specs);
   ASSERT_EQ(reference.size(), specs.size());
-  for (const auto& r : reference) EXPECT_TRUE(r.ok) << r.name << r.error;
 
-  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+  for (std::uint32_t workers : {2u, 4u, 8u}) {
     const auto rs = run_with_workers(specs, workers);
     ASSERT_EQ(rs.size(), reference.size()) << "workers=" << workers;
     for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -229,9 +242,25 @@ TEST(SvcParallel, WorkersAutoResolvesToAtLeastOne) {
   EXPECT_EQ(sc.workers, ServiceConfig::kWorkersAuto);
   JobService svc(sc);
   EXPECT_GE(svc.workers(), 1u);
-  ServiceConfig serial = sc;
-  serial.workers = 0;
-  EXPECT_EQ(JobService(serial).workers(), 0u);
+}
+
+TEST(SvcParallel, ZeroWorkersRejectedTyped) {
+  ServiceConfig sc;
+  sc.pool = small_pool();
+  sc.workers = 0;
+  try {
+    JobService svc(sc);
+    FAIL() << "workers = 0 accepted";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kConfig);
+  }
+  try {
+    parse_service_json(R"({"workers": 0, "jobs": [{"name": "a"}]})");
+    FAIL() << "job file \"workers\": 0 accepted";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kConfig);
+    EXPECT_NE(std::string(e.what()).find("workers"), std::string::npos);
+  }
 }
 
 TEST(SvcParallel, ThreadedTenantsUnderFourWorkers) {
@@ -245,10 +274,9 @@ TEST(SvcParallel, ThreadedTenantsUnderFourWorkers) {
   specs.push_back(s0);
   auto s1 = spec_of("tB", "list_rank", 1024, 5);
   s1.io_threads = 2;
-  s1.prefetch_depth = 4;
   specs.push_back(s1);
 
-  const auto reference = run_with_workers(specs, 0);
+  const auto reference = reference_run(specs);
   const auto rs = run_with_workers(specs, 4);
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_TRUE(rs[i].ok) << rs[i].error;
@@ -262,9 +290,9 @@ TEST(ParallelStress, PerturbedWorkerTimingConvergesToSerialReference) {
   // Seeded sleeps at step boundaries reshuffle which worker runs what and
   // when — if worker timing could leak into any observable, this amplifies
   // the leak. Three perturbation seeds, all bit-identical to the serial
-  // reference.
+  // workers = 1 reference (itself bit-identical to every tenant's solo run).
   const auto specs = mixed_specs();
-  const auto reference = run_with_workers(specs, 0);
+  const auto reference = reference_run(specs);
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     auto delay = [seed](std::size_t slot, std::uint64_t tick) {
       const std::uint64_t us = mix(seed, slot, tick) % 150;

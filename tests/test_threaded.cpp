@@ -284,8 +284,8 @@ TEST(ThreadedStress, KillSweepConvergesAcrossSeeds) {
     for (bool threads : {false, true}) {
       auto cfg = stress_cfg(seed, threads);
       cfg.net.failover = true;
-      cfg.net.fault.fail_stop_proc = static_cast<std::uint32_t>(seed % 4);
-      cfg.net.fault.fail_stop_at_step = 1 + seed % steps;
+      cfg.net.fault.fail_stops = {
+          {static_cast<std::uint32_t>(seed % 4), 1 + seed % steps}};
       cfg.net.retry.max_attempts = 4;  // give up on the corpse quickly
       em::EmEngine e(cfg);
       EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))

@@ -9,7 +9,7 @@
 //       JSON (or write it to --out).
 //
 //       --workers N overrides the job file's execution-phase worker count
-//       (0 = the serial tick loop; default = hardware concurrency). The
+//       (N >= 1; default = hardware concurrency). The
 //       schedule — and every per-tenant observable — is identical for every
 //       worker count; N changes wall time only.
 //
